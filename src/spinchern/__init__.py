@@ -16,7 +16,6 @@ from .char_classes import (
     complexification_check,
     mod2,
     total_chern,
-    total_chern_f2,
     total_chern_virtual,
     total_sw_real,
     vanishing_on_bso_check,
@@ -93,7 +92,6 @@ __all__ = [
     "VirtualCharacterError",
     "weights_from_character",
     "total_chern",
-    "total_chern_f2",
     "total_chern_virtual",
     "mod2",
     "total_sw_real",

@@ -3,8 +3,8 @@
 A character on the circle with nonnegative coefficients is a sum of line
 bundles: the coefficient of z^k counts copies of the weight-k line bundle,
 whose total Chern class is 1 + k*u with deg u = 2.  The total Chern class of
-the character is the product over its weights, computed exactly over Z and
-reduced mod 2 on demand.  For palindromic characters (coefficient of z^k
+the character is the product over its weights, computed exactly over Z or
+directly over F2.  For palindromic characters (coefficient of z^k
 equal to that of z^-k) each conjugate pair {k, -k} is the complexification
 of one real 2-plane bundle with total Stiefel-Whitney class 1 + k*u mod 2,
 which gives the real class calculus and the c = w^2 cross-check.
@@ -62,25 +62,18 @@ def _binomial_factor(ring: str, k: int, mult: int, cutoff: int) -> TruncatedPoly
     return TruncatedPoly(ring, cutoff, coeffs)
 
 
-def total_chern(weights: WeightMultiset, cutoff: int) -> TruncatedPoly:
-    """Total Chern class over Z: the product of (1 + k*u)^a_k over all weights."""
-    out = TruncatedPoly.one("Z", cutoff)
-    for k in sorted(weights):
-        out = out * _binomial_factor("Z", k, weights[k], cutoff)
-    return out
+def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> TruncatedPoly:
+    """Total Chern class: the product of (1 + k*u)^a_k over all weights.
 
-
-def total_chern_f2(weights: WeightMultiset, cutoff: int) -> TruncatedPoly:
-    """Mod-2 total Chern class computed directly over F2.
-
-    Reduction mod 2 is a ring homomorphism, so this equals
-    ``total_chern(weights, cutoff).to_f2()`` while staying cheap when the
-    integer coefficients would be astronomically large (even weights
-    contribute the factor 1 outright).
+    ``ring`` is ``"Z"`` for the integral class or ``"F2"`` for its mod-2
+    reduction computed directly over F2.  Reduction mod 2 is a ring
+    homomorphism, so ``total_chern(w, c, "F2") == mod2(total_chern(w, c))``,
+    but the F2 route stays cheap where the integer coefficients would be
+    astronomically large: even weights contribute the factor 1 outright.
     """
-    out = TruncatedPoly.one("F2", cutoff)
+    out = TruncatedPoly.one(ring, cutoff)
     for k in sorted(weights):
-        out = out * _binomial_factor("F2", k, weights[k], cutoff)
+        out = out * _binomial_factor(ring, k, weights[k], cutoff)
     return out
 
 
@@ -114,11 +107,7 @@ def total_sw_real(ch: MultiLaurent, cutoff: int) -> TruncatedPoly:
     if not ch.is_palindromic():
         raise ValueError("character is not palindromic; it has no real form here")
     weights = weights_from_character(ch)
-    out = TruncatedPoly.one("F2", cutoff)
-    for k in sorted(weights):
-        if k > 0:
-            out = out * _binomial_factor("F2", k, weights[k], cutoff)
-    return out
+    return total_chern({k: a for k, a in weights.items() if k > 0}, cutoff, "F2")
 
 
 def complexification_check(ch: MultiLaurent, cutoff: int) -> bool:

@@ -10,7 +10,8 @@ Four subcommands:
 * ``restrict``  -- restrict an expression to the circle and print its
                    classes.
 
-Exit codes: 0 all checks pass, 1 a verification mismatch, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error or
+an unwritable ``--out`` path.
 Identical inputs produce byte-identical reports.
 """
 
@@ -25,7 +26,6 @@ from . import __version__
 from .char_classes import (
     mod2,
     total_chern,
-    total_chern_f2,
     total_chern_virtual,
     total_sw_real,
     weights_from_character,
@@ -102,7 +102,7 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
             symbols += [DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA]
             for sym in symbols:
                 ch = character_on_T1(g, sym, convention)
-                series = total_chern_f2(weights_from_character(ch), cut)
+                series = total_chern(weights_from_character(ch), cut, "F2")
                 if sym.kind == "lambda":
                     expected = TruncatedPoly.one("F2", cut)
                 else:
@@ -442,8 +442,12 @@ def main(argv: list[str] | None = None) -> int:
 
     text = _RENDERERS[args.fmt](report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         sys.stdout.write(text)
     return code

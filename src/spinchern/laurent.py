@@ -12,20 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-try:
-    from gmpy2 import mpz as _mpz
-
-    def _bigmul(x: int, y: int) -> int:
-        return int(_mpz(x) * _mpz(y))
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    def _bigmul(x: int, y: int) -> int:
-        return x * y
-
 ExponentVector = tuple[int, ...]
-
-# Products with more coefficient pairs than this go through the Kronecker
-# fast path; below it, schoolbook is faster.
-_KRONECKER_THRESHOLD = 20_000
 
 
 class MultiLaurent:
@@ -363,21 +350,16 @@ class TruncatedPoly:
     def __mul__(self, other: TruncatedPoly) -> TruncatedPoly:
         self._check_compat(other)
         a, b = self.coeffs, other.coeffs
-        nnz_a = sum(1 for c in a if c)
-        nnz_b = sum(1 for c in b if c)
-        if self.ring == "Z" and nnz_a * nnz_b > _KRONECKER_THRESHOLD:
-            out = _kronecker_trunc_mul(a, b, self.cutoff)
-        else:
-            out = [0] * (self.cutoff + 1)
-            if nnz_a > nnz_b:
-                a, b = b, a
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j in range(min(len(b), self.cutoff - i + 1)):
-                    cb = b[j]
-                    if cb:
-                        out[i + j] += ca * cb
+        if sum(1 for c in a if c) > sum(1 for c in b if c):
+            a, b = b, a
+        out = [0] * (self.cutoff + 1)
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j in range(min(len(b), self.cutoff - i + 1)):
+                cb = b[j]
+                if cb:
+                    out[i + j] += ca * cb
         return TruncatedPoly(self.ring, self.cutoff, out)
 
     def __pow__(self, k: int) -> TruncatedPoly:
@@ -446,39 +428,3 @@ class TruncatedPoly:
 
     def __repr__(self) -> str:
         return f"TruncatedPoly({self.ring!r}, {self.cutoff}, '{self}')"
-
-
-def _kronecker_trunc_mul(a: tuple[int, ...], b: tuple[int, ...], cutoff: int) -> list[int]:
-    """Truncated product via Kronecker substitution.
-
-    Coefficient sequences are packed into single big integers (one byte-aligned
-    slot per coefficient, split by sign so slots stay nonnegative) and
-    multiplied as integers, which is far faster than a coefficientwise loop
-    for large dense operands.
-    """
-    abits = max((abs(c).bit_length() for c in a), default=0) or 1
-    bbits = max((abs(c).bit_length() for c in b), default=0) or 1
-    stride = abits + bbits + min(len(a), len(b)).bit_length() + 1
-    slot = (stride + 7) // 8
-
-    def pack(coeffs: tuple[int, ...], positive: bool) -> int:
-        buf = bytearray(len(coeffs) * slot)
-        for i, c in enumerate(coeffs):
-            if c and (c > 0) == positive:
-                v = abs(c)
-                nb = (v.bit_length() + 7) // 8
-                buf[i * slot : i * slot + nb] = v.to_bytes(nb, "little")
-        return int.from_bytes(buf, "little")
-
-    ap, an = pack(a, True), pack(a, False)
-    bp, bn = pack(b, True), pack(b, False)
-    pos = _bigmul(ap, bp) + _bigmul(an, bn)
-    neg = _bigmul(ap, bn) + _bigmul(an, bp)
-    total = (len(a) + len(b)) * slot
-    pos_bytes = pos.to_bytes(total, "little")
-    neg_bytes = neg.to_bytes(total, "little")
-    return [
-        int.from_bytes(pos_bytes[k * slot : (k + 1) * slot], "little")
-        - int.from_bytes(neg_bytes[k * slot : (k + 1) * slot], "little")
-        for k in range(cutoff + 1)
-    ]

@@ -12,7 +12,6 @@ from math import comb
 from spinchern.char_classes import (
     mod2,
     total_chern,
-    total_chern_f2,
     total_chern_virtual,
     total_sw_real,
     vanishing_on_bso_check,
@@ -275,4 +274,4 @@ def test_mod2_routes_agree_where_feasible():
             sym = DELTA_PLUS if g.is_even else DELTA
             w = weights_from_character(character_on_T1(g, sym))
             cutoff = 2 ** (m + 1)
-            assert total_chern_f2(w, cutoff) == mod2(total_chern(w, cutoff))
+            assert total_chern(w, cutoff, "F2") == mod2(total_chern(w, cutoff))

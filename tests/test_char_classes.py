@@ -12,7 +12,6 @@ from spinchern.char_classes import (
     complexification_check,
     mod2,
     total_chern,
-    total_chern_f2,
     total_chern_virtual,
     total_sw_real,
     vanishing_on_bso_check,
@@ -192,7 +191,7 @@ def test_f2_route_matches_integral_route():
     rng = random.Random(13)
     for _ in range(100):
         w = random_weights(rng)
-        assert total_chern_f2(w, 20) == mod2(total_chern(w, 20))
+        assert total_chern(w, 20, "F2") == mod2(total_chern(w, 20))
 
 
 # ---- real Stiefel-Whitney classes ----------------------------------------------------

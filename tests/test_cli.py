@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spinchern
 from spinchern.cli import main
 
 
@@ -175,6 +178,14 @@ def test_out_writes_file(tmp_path, capsys):
     assert data["rows"][0]["note"]
 
 
+def test_out_to_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.txt"
+    code = main(["prop2", "--m", "3..3", "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_quillen_json_schema(capsys):
     _, out = run_cli(capsys, "quillen", "--n", "9..12", "--format", "json")
     data = json.loads(out)
@@ -188,11 +199,14 @@ def test_quillen_json_schema(capsys):
 
 
 def test_spawned_process_exit_codes():
-    # the exit-code contract holds for the installed entry point too
+    # the exit-code contract holds for the module entry point too; the child
+    # imports the same package as this process, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
     ok = subprocess.run(
         [sys.executable, "-m", "spinchern.cli", "theorem1", "--group", "F4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert ok.returncode == 0, ok.stderr
     assert "indecomposable" in ok.stdout
@@ -201,6 +215,7 @@ def test_spawned_process_exit_codes():
         [sys.executable, "-m", "spinchern.cli", "prop2", "--m", "1..2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert usage.returncode == 2
     assert "error:" in usage.stderr

@@ -354,22 +354,14 @@ def test_trunc_pow_matches_repeated_mul(pair, k):
     assert a**k == expected
 
 
-def test_kronecker_path_matches_schoolbook():
-    # force both multiplication strategies onto the same large inputs
+def test_large_dense_product_matches_naive_convolution():
+    # big-coefficient Z products against the truncated convolution formula
     import random
-
-    from spinchern import laurent
 
     rng = random.Random(11)
     cutoff = 300
-    a = TruncatedPoly("Z", cutoff, [rng.randint(-(10**9), 10**9) for _ in range(cutoff + 1)])
-    b = TruncatedPoly("Z", cutoff, [rng.randint(-(10**9), 10**9) for _ in range(cutoff + 1)])
-    old = laurent._KRONECKER_THRESHOLD
-    try:
-        laurent._KRONECKER_THRESHOLD = 10**12  # schoolbook
-        slow = a * b
-        laurent._KRONECKER_THRESHOLD = 0  # kronecker
-        fast = a * b
-    finally:
-        laurent._KRONECKER_THRESHOLD = old
-    assert slow == fast
+    a = [rng.randint(-(10**9), 10**9) for _ in range(cutoff + 1)]
+    b = [rng.randint(-(10**9), 10**9) for _ in range(cutoff + 1)]
+    expected = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(cutoff + 1)]
+    got = TruncatedPoly("Z", cutoff, a) * TruncatedPoly("Z", cutoff, b)
+    assert list(got.coeffs) == expected
