@@ -1,13 +1,16 @@
-"""Representation-ring symbols of Spin(n) and their torus characters.
+"""Representation-ring symbols of Spin(n) and their circle characters.
 
 The representation ring of Spin(2m) is Z[lambda_1, ..., lambda_{m-2},
 Delta+, Delta-] and that of Spin(2m+1) is Z[lambda_1, ..., lambda_{m-1},
 Delta].  Restricted to the maximal torus T^m, lambda_i becomes the i-th
 elementary symmetric function of z_1^2 + z_1^{-2}, ..., z_m^2 + z_m^{-2}
 and the (half-)spin characters are signed sums of the monomials
-z_1^{e_1} ... z_m^{e_m} over sign vectors e in {+1, -1}^m.  Restricting
-further to the first circle factor (all z_j = 1 except z_1) gives the
-univariate characters this package takes characteristic classes of.
+z_1^{e_1} ... z_m^{e_m} over sign vectors e in {+1, -1}^m.  This package
+takes characteristic classes of the further restriction to the first circle
+factor (all z_j = 1 except z_1), read off the paper's closed forms:
+lambda_i becomes alpha_i + beta_i (z^2 + z^-2) and each (half-)spinor equal
+numbers of z and z^-1.  Only :func:`character_on_Tm`, the brute-force
+oracle of the tests, expands the T^m characters.
 
 Two conventions are supported for lambda_i when n is odd.  Under
 ``paper-literal`` the character is exactly the elementary symmetric function
@@ -22,10 +25,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 
-from .laurent import MultiLaurent
+from .laurent import MultiLaurent, elementary_symmetric
 
 PAPER_LITERAL = "paper-literal"
 VECTOR_REP = "vector-rep"
@@ -214,42 +216,27 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"unknown convention {convention!r}; use one of {CONVENTIONS}")
 
 
-@lru_cache(maxsize=64)
-def _lambda_chars(m: int, with_const: bool) -> tuple[MultiLaurent, ...]:
-    """All e_i of (z_1^2 + z_1^{-2}, ..., z_m^2 + z_m^{-2} [, 1]) in one pass.
-
-    Entry i is e_i; one dynamic-programming sweep yields every index, and the
-    result is shared between the odd and even groups of the same rank.
-    """
-    args = [
-        MultiLaurent.variable(m, j, 2) + MultiLaurent.variable(m, j, -2)
-        for j in range(m)
-    ]
-    if with_const:
-        args.append(MultiLaurent.constant(m, 1))
-    e = [MultiLaurent.constant(m, 1)]
-    for v in args:
-        e.append(MultiLaurent.zero(m))
-        for j in range(len(e) - 1, 0, -1):
-            e[j] = e[j] + e[j - 1] * v
-    return tuple(e)
-
-
 def character_on_Tm(
     g: SpinGroup,
     sym: RepSymbol,
     convention: str = PAPER_LITERAL,
     allow_extended: bool = False,
 ) -> MultiLaurent:
-    """The character of one symbol restricted to the maximal torus T^m."""
+    """The full T^m character of one symbol (up to 3^m terms): the brute-force
+    oracle the tests compare the closed forms of :func:`character_on_T1` against."""
     _check_convention(convention)
     _check_symbol(g, sym, allow_extended)
     m = g.m
     if sym.kind == "triv":
         return MultiLaurent.constant(m, sym.index)
     if sym.kind == "lambda":
-        with_const = convention == VECTOR_REP and not g.is_even
-        return _lambda_chars(m, with_const)[sym.index]
+        args = [
+            MultiLaurent.variable(m, j, 2) + MultiLaurent.variable(m, j, -2)
+            for j in range(m)
+        ]
+        if convention == VECTOR_REP and not g.is_even:
+            args.append(MultiLaurent.constant(m, 1))
+        return elementary_symmetric(args, sym.index)
     # (half-)spin characters: one monomial per sign vector
     want = {"delta+": (0,), "delta-": (1,), "delta": (0, 1)}[sym.kind]
     terms: dict[tuple[int, ...], int] = {}
@@ -269,16 +256,31 @@ def character_on_T1(
 ) -> MultiLaurent:
     """Restrict a symbol or expression to the first circle factor of T^m.
 
-    Computed as the full T^m character with every variable but the first
-    set to 1; additive in the expression.
+    Read off the closed forms, additively in the expression: triv:k is k;
+    lambda_i is alpha_i + beta_i (z^2 + z^-2) from
+    :func:`closed_form_f1_lambda`, plus the same for lambda_{i-1} under
+    ``vector-rep`` at odd n, because e_i(x, 1) = e_i(x) + e_{i-1}(x); Delta
+    is 2^{m-1} (z + z^-1) and either half-spinor 2^{m-2} (z + z^-1).
     """
+    _check_convention(convention)
     if isinstance(expr, RepSymbol):
         expr = RepExpr.single(expr)
-    out = MultiLaurent.zero(1)
+    terms: list[tuple[tuple[int], int]] = []
     for sym, mult in expr.terms:
-        ch = character_on_Tm(g, sym, convention, allow_extended)
-        out = out + mult * ch.substitute_ones(0)
-    return out
+        _check_symbol(g, sym, allow_extended)
+        if sym.kind == "triv":
+            weights = {0: sym.index}
+        elif sym.kind == "lambda":
+            alpha, beta = closed_form_f1_lambda(g, sym.index, allow_extended)
+            if convention == VECTOR_REP and not g.is_even:
+                alpha0, beta0 = closed_form_f1_lambda(g, sym.index - 1, allow_extended)
+                alpha, beta = alpha + alpha0, beta + beta0
+            weights = {0: alpha, 2: beta, -2: beta}
+        else:
+            half = 2 ** (g.m - 1 if sym.kind == "delta" else g.m - 2)
+            weights = {1: half, -1: half}
+        terms.extend(((k,), mult * c) for k, c in weights.items())
+    return MultiLaurent(1, terms)
 
 
 def closed_form_f1_lambda(g: SpinGroup, i: int, allow_extended: bool = False) -> tuple[int, int]:
@@ -297,13 +299,8 @@ def closed_form_f1_lambda(g: SpinGroup, i: int, allow_extended: bool = False) ->
 
 
 def dimension(g: SpinGroup, expr: RepExpr | RepSymbol, convention: str = PAPER_LITERAL) -> int:
-    """Virtual dimension: the T^m character evaluated at all z_j = 1."""
-    if isinstance(expr, RepSymbol):
-        expr = RepExpr.single(expr)
-    return sum(
-        mult * character_on_Tm(g, sym, convention).evaluate_at_one()
-        for sym, mult in expr.terms
-    )
+    """Virtual dimension: the circle character evaluated at z = 1."""
+    return character_on_T1(g, expr, convention).evaluate_at_one()
 
 
 def spinor_type(n: int) -> str:

@@ -167,16 +167,21 @@ def _sq_monomial(i: int, mon: Monomial, n: int, drop_w1: bool) -> set[Monomial]:
     return {partial for spent, partial in states if spent == i}
 
 
-def sq(i: int, p: GradedPolyF2) -> GradedPolyF2:
-    """Sq^i of a polynomial: additive, Cartan on products, Sq^0 = id."""
+def _sq(i: int, p: GradedPolyF2, drop_w1: bool) -> GradedPolyF2:
+    """Sq^i monomial by monomial; Sq^0 = id and negative indices are rejected."""
     if i < 0:
         raise ValueError("Sq index must be nonnegative")
     if i == 0:
         return p
     out: set[Monomial] = set()
     for mon in p.terms:
-        out ^= _sq_monomial(i, mon, p.n, drop_w1=False)
+        out ^= _sq_monomial(i, mon, p.n, drop_w1)
     return GradedPolyF2(p.n, frozenset(out))
+
+
+def sq(i: int, p: GradedPolyF2) -> GradedPolyF2:
+    """Sq^i of a polynomial: additive, Cartan on products, Sq^0 = id."""
+    return _sq(i, p, drop_w1=False)
 
 
 def drop_w1(p: GradedPolyF2) -> GradedPolyF2:
@@ -186,12 +191,7 @@ def drop_w1(p: GradedPolyF2) -> GradedPolyF2:
 
 def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
     """Sq^i in the quotient with w_1 = 0 (input must already avoid w_1)."""
-    if i == 0:
-        return p
-    out: set[Monomial] = set()
-    for mon in p.terms:
-        out ^= _sq_monomial(i, mon, p.n, drop_w1=True)
-    return GradedPolyF2(p.n, frozenset(out))
+    return _sq(i, p, drop_w1=True)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from spinchern.spin_reps import (
     VECTOR_REP,
     SpinGroup,
     character_on_T1,
+    character_on_Tm,
     closed_form_f1_lambda,
     dimension,
     lam,
@@ -78,7 +79,7 @@ def test_criterion_02_closed_form_vs_brute_force():
             alpha, beta = closed_form_f1_lambda(g, i)
             assert alpha == 2**i * comb(m - 1, i)
             assert beta == 2 ** (i - 1) * comb(m - 1, i - 1)
-            brute = character_on_T1(g, lam(i))
+            brute = character_on_Tm(g, lam(i)).substitute_ones(0)
             assert brute == alpha + beta * (z(2) + z(-2)), (m, i)
             checked += 1
     _report(2, True, f"closed form alpha/beta vs brute force, {checked} (m, i) pairs")

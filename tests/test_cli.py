@@ -129,6 +129,22 @@ def test_restrict_virtual_expression(capsys):
     assert report["negative_weights"] == {"0": 16}
 
 
+def test_cli_never_expands_full_torus_characters(monkeypatch, capsys):
+    # circle characters come from the closed forms; the T^m expansion is the
+    # tests' oracle only, and at m = 16 it would not fit in memory
+    def refuse(*args, **kwargs):
+        raise AssertionError("character_on_Tm called from the CLI")
+
+    monkeypatch.setattr("spinchern.spin_reps.character_on_Tm", refuse)
+    code, out = run_cli(capsys, "prop2", "--m", "16..16")
+    assert code == 0
+    assert "32/32 identities hold" in out
+    for convention in ("paper-literal", "vector-rep"):
+        assert run_cli(capsys, "theorem1", "--convention", convention)[0] == 0
+    argv = ("restrict", "--n", "17", "--cutoff", "64", "3*delta + lambda1 - 2*lambda7")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -155,15 +155,38 @@ def test_closed_form_spin16_lambda2():
 
 def test_closed_form_matches_brute_force_all_ranks():
     # the closed form collapses the elementary symmetric function; the brute
-    # force path expands it fully on T^m and substitutes.  Both must agree
+    # force oracle expands it fully on T^m and substitutes.  Both must agree
     # for every rank and index.
     for m in range(3, 13):
         g = SpinGroup(2 * m + 1)  # odd groups carry the widest lambda range
         for i in range(1, m):
             alpha, beta = closed_form_f1_lambda(g, i)
-            brute = character_on_T1(g, lam(i))
+            brute = character_on_Tm(g, lam(i)).substitute_ones(0)
             assert brute == alpha + beta * (z(2) + z(-2)), (m, i)
             assert alpha + 2 * beta == dimension(g, lam(i))
+
+
+def test_circle_characters_match_torus_oracle():
+    # character_on_T1 reads the closed forms; the oracle expands every symbol
+    # on T^m and substitutes, for every symbol kind and both conventions
+    for n in range(6, 18):
+        g = SpinGroup(n)
+        spin = [DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA]
+        mix = parse_expr("3 + 2*lambda1 - " + ("delta+" if g.is_even else "delta"))
+        for convention in (PAPER_LITERAL, VECTOR_REP):
+            for sym in [lam(i) for i in range(1, g.m + 1)] + spin + [triv(3)]:
+                brute = character_on_Tm(g, sym, convention, allow_extended=True)
+                got = character_on_T1(g, sym, convention, allow_extended=True)
+                assert got == brute.substitute_ones(0), (n, convention, sym)
+            oracle = [
+                (mult, character_on_Tm(g, sym, convention)) for sym, mult in mix.terms
+            ]
+            assert character_on_T1(g, mix, convention) == sum(
+                (mult * ch.substitute_ones(0) for mult, ch in oracle), MultiLaurent.zero(1)
+            ), (n, convention)
+            assert dimension(g, mix, convention) == sum(
+                mult * ch.evaluate_at_one() for mult, ch in oracle
+            ), (n, convention)
 
 
 def test_closed_form_out_of_range():

@@ -157,6 +157,14 @@ def test_sq0_is_identity():
     assert sq(0, p) == p
 
 
+def test_negative_index_rejected():
+    p = w(2, n=6)
+    with pytest.raises(ValueError):
+        sq(-1, p)
+    with pytest.raises(ValueError):
+        sq_bso(-1, p)
+
+
 def test_cartan_coherence_random():
     # Sq^i(ab) equals the convolution of squares of the factors
     rng = random.Random(23)
