@@ -16,7 +16,6 @@ from .char_classes import (
     complexification_check,
     mod2,
     total_chern,
-    total_chern_virtual,
     total_sw_real,
     vanishing_on_bso_check,
     weights_from_character,
@@ -92,7 +91,6 @@ __all__ = [
     "VirtualCharacterError",
     "weights_from_character",
     "total_chern",
-    "total_chern_virtual",
     "mod2",
     "total_sw_real",
     "complexification_check",

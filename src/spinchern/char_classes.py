@@ -1,10 +1,12 @@
 """Chern and Stiefel-Whitney class calculus for circle characters.
 
-A character on the circle with nonnegative coefficients is a sum of line
-bundles: the coefficient of z^k counts copies of the weight-k line bundle,
-whose total Chern class is 1 + k*u with deg u = 2.  The total Chern class of
-the character is the product over its weights, computed exactly over Z or
-directly over F2.  For palindromic characters (coefficient of z^k
+A character on the circle is a signed weight map: the coefficient a_k of z^k
+counts copies of the weight-k line bundle, whose total Chern class is
+1 + k*u with deg u = 2, and a negative a_k marks a virtual difference.  By
+the Whitney formula the total Chern class of the character is the product
+of (1 + k*u)^a_k over its weights for every sign of a_k, a negative power
+being the truncated binomial series; it is computed exactly over Z or
+directly over F2.  For genuine palindromic characters (coefficient of z^k
 equal to that of z^-k) each conjugate pair {k, -k} is the complexification
 of one real 2-plane bundle with total Stiefel-Whitney class 1 + k*u mod 2,
 which gives the real class calculus and the c = w^2 cross-check.
@@ -28,66 +30,55 @@ class VirtualCharacterError(ValueError):
 
 
 def weights_from_character(ch: MultiLaurent) -> WeightMultiset:
-    """Read off the weight multiset of a univariate character.
+    """Read off the signed weight map of a univariate character.
 
-    Weight k has multiplicity equal to the coefficient of z^k; the total
-    count is the dimension.  Negative coefficients mean the character is
-    virtual and only total_chern_virtual applies.
+    Weight k has multiplicity equal to the coefficient of z^k, negative
+    where the character is virtual; the multiplicities sum to the
+    (virtual) dimension.
     """
     if ch.nvars != 1:
         raise ValueError("weights are read off univariate characters")
-    weights: WeightMultiset = {}
-    for exps, coeff in ch.items():
-        if coeff < 0:
-            raise VirtualCharacterError(
-                f"coefficient {coeff} of z^{exps[0]} is negative; decompose the "
-                "virtual character and use total_chern_virtual"
-            )
-        weights[exps[0]] = coeff
-    return weights
+    return {exps[0]: coeff for exps, coeff in ch.items()}
 
 
 def _binomial_factor(ring: str, k: int, mult: int, cutoff: int) -> TruncatedPoly:
-    """(1 + k*u)^mult truncated, by direct binomial expansion."""
-    if k == 0 or mult == 0:
+    """(1 + k*u)^mult truncated, by direct binomial expansion.
+
+    A negative ``mult`` gives the binomial series, which runs up to the
+    cutoff: binom(mult, j) = (-1)^j binom(j - mult - 1, j).
+    """
+    if k == 0 or mult == 0 or (ring == "F2" and k % 2 == 0):
         return TruncatedPoly.one(ring, cutoff)
-    top = min(mult, cutoff)
+    top = min(mult, cutoff) if mult > 0 else cutoff
     if ring == "F2":
-        if k % 2 == 0:
-            return TruncatedPoly.one(ring, cutoff)
-        # binom(mult, j) mod 2 by Lucas; the weight contributes k^j = 1
-        coeffs = [1 if (mult & j) == j else 0 for j in range(top + 1)]
-    else:
+        # binom(mult, j) mod 2 by Lucas; the odd weight contributes k^j = 1
+        coeffs = [
+            1 if ((mult if mult > 0 else j - mult - 1) & j) == j else 0
+            for j in range(top + 1)
+        ]
+    elif mult > 0:
         coeffs = [comb(mult, j) * k**j for j in range(top + 1)]
+    else:
+        coeffs = [comb(j - mult - 1, j) * (-k) ** j for j in range(top + 1)]
     return TruncatedPoly(ring, cutoff, coeffs)
 
 
 def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> TruncatedPoly:
     """Total Chern class: the product of (1 + k*u)^a_k over all weights.
 
-    ``ring`` is ``"Z"`` for the integral class or ``"F2"`` for its mod-2
-    reduction computed directly over F2.  Reduction mod 2 is a ring
-    homomorphism, so ``total_chern(w, c, "F2") == mod2(total_chern(w, c))``,
-    but the F2 route stays cheap where the integer coefficients would be
-    astronomically large: even weights contribute the factor 1 outright.
+    The multiplicities a_k may be negative, so one routine serves genuine
+    and virtual characters: c(pos - neg) = c(pos) * c(neg)^{-1} by the
+    Whitney formula.  ``ring`` is ``"Z"`` for the integral class or
+    ``"F2"`` for its mod-2 reduction computed directly over F2.  Reduction
+    mod 2 is a ring homomorphism, so
+    ``total_chern(w, c, "F2") == mod2(total_chern(w, c))``, but the F2 route
+    stays cheap where the integer coefficients would be astronomically
+    large: even weights contribute the factor 1 outright.
     """
     out = TruncatedPoly.one(ring, cutoff)
     for k in sorted(weights):
         out = out * _binomial_factor(ring, k, weights[k], cutoff)
     return out
-
-
-def total_chern_virtual(
-    pos: WeightMultiset, neg: WeightMultiset, cutoff: int
-) -> TruncatedPoly:
-    """Total Chern class of a virtual difference of weight multisets.
-
-    Whitney formula extended by truncated-series division:
-    c(pos - neg) = c(pos) * c(neg)^{-1}.  Reduces to total_chern when neg
-    is empty, and satisfies total_chern_virtual(p, n) * total_chern(n) ==
-    total_chern(p) up to the cutoff.
-    """
-    return total_chern(pos, cutoff) * total_chern(neg, cutoff).inverse()
 
 
 def mod2(c: TruncatedPoly) -> TruncatedPoly:
@@ -100,13 +91,20 @@ def total_sw_real(ch: MultiLaurent, cutoff: int) -> TruncatedPoly:
 
     Each conjugate pair z^k + z^-k (k > 0) is the complexification of a real
     2-plane bundle with total class 1 + k*u mod 2; weight-0 summands are
-    trivial real lines and contribute 1.
+    trivial real lines and contribute 1.  A virtual character has no real
+    form here and raises VirtualCharacterError.
     """
     if ch.nvars != 1:
         raise ValueError("real Stiefel-Whitney classes need a univariate character")
+    weights = weights_from_character(ch)
+    for k, a in weights.items():
+        if a < 0:
+            raise VirtualCharacterError(
+                f"coefficient {a} of z^{k} is negative; a virtual character "
+                "has no real form here"
+            )
     if not ch.is_palindromic():
         raise ValueError("character is not palindromic; it has no real form here")
-    weights = weights_from_character(ch)
     return total_chern({k: a for k, a in weights.items() if k > 0}, cutoff, "F2")
 
 
@@ -119,8 +117,8 @@ def complexification_check(ch: MultiLaurent, cutoff: int) -> bool:
     right side is the square of total_sw_real.  Both sides are computed
     independently.
     """
-    left = mod2(total_chern(weights_from_character(ch), cutoff))
     sw = total_sw_real(ch, cutoff)
+    left = mod2(total_chern(weights_from_character(ch), cutoff))
     return left == sw * sw
 
 

@@ -10,8 +10,8 @@ Four subcommands:
 * ``restrict``  -- restrict an expression to the circle and print its
                    classes.
 
-Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error or
-an unwritable ``--out`` path.
+Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error,
+a cutoff too large to allocate, or an unwritable ``--out`` path.
 Identical inputs produce byte-identical reports.
 """
 
@@ -23,13 +23,7 @@ import sys
 from typing import Callable
 
 from . import __version__
-from .char_classes import (
-    mod2,
-    total_chern,
-    total_chern_virtual,
-    total_sw_real,
-    weights_from_character,
-)
+from .char_classes import mod2, total_chern, total_sw_real, weights_from_character
 from .exceptional import GROUP_ORDER, get_case, verify_case, verify_remark_generation
 from .laurent import TruncatedPoly
 from .spin_reps import (
@@ -77,11 +71,6 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _expected_delta_class(m: int, even: bool, cutoff: int) -> TruncatedPoly:
-    exp = 2 ** (m - 1) if even else 2**m
-    return TruncatedPoly.from_dict("F2", cutoff, {0: 1, exp: 1})
-
-
 def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict:
     """Check that the mod-2 total Chern class of every generator's circle
     restriction is 1 for the exterior powers and 1 + u^dim for the spinors."""
@@ -106,7 +95,7 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
                 if sym.kind == "lambda":
                     expected = TruncatedPoly.one("F2", cut)
                 else:
-                    expected = _expected_delta_class(m, g.is_even, cut)
+                    expected = TruncatedPoly.from_dict("F2", cut, {0: 1, spin_dim: 1})
                 ok = series == expected
                 all_pass = all_pass and ok
                 checks.append(
@@ -162,19 +151,9 @@ def run_quillen(n_lo: int, n_hi: int, full_j: bool) -> dict:
     rows = []
     for n in range(n_lo, n_hi + 1):
         info = quillen_h(n)
-        expected_degrees = j_degrees_expected(info.h)
-        limit = None if full_j else DEFAULT_J_POLY_LIMIT
-        if limit is None or expected_degrees[-1] <= limit:
-            pres = j_ideal_generators(n)
-            gens = [str(g) for g in pres.generators]
-            degrees = list(pres.degrees)
-            truncated = False
-        else:
-            depth = sum(1 for d in expected_degrees if d <= limit)
-            pres = j_ideal_generators(n, depth=depth)
-            gens = [str(g) for g in pres.generators]
-            degrees = expected_degrees
-            truncated = True
+        j_degrees = j_degrees_expected(info.h)
+        depth = None if full_j else sum(1 for d in j_degrees if d <= DEFAULT_J_POLY_LIMIT)
+        pres = j_ideal_generators(n, depth=depth)
         row = {
             "n": n,
             "m": n // 2,
@@ -183,9 +162,9 @@ def run_quillen(n_lo: int, n_hi: int, full_j: bool) -> dict:
             "deg_z": info.deg_z,
             "table_h": info.table_h,
             "note": info.note,
-            "j_degrees": degrees,
-            "generators": gens,
-            "generators_truncated": truncated,
+            "j_degrees": j_degrees,
+            "generators": [str(g) for g in pres.generators],
+            "generators_truncated": len(pres.generators) < info.h,
         }
         rows.append(row)
     return {
@@ -209,20 +188,16 @@ def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    pos: dict[int, int] = {}
-    neg: dict[int, int] = {}
-    for exps, coeff in ch.items():
-        (pos if coeff > 0 else neg)[exps[0]] = abs(coeff)
-    moving = sum(a for k, a in pos.items() if k) + sum(a for k, a in neg.items() if k)
+    weights = weights_from_character(ch)
+    pos = {k: a for k, a in weights.items() if a > 0}
+    neg = {k: -a for k, a in weights.items() if a < 0}
+    moving = sum(abs(a) for k, a in weights.items() if k)
     cut = cutoff if cutoff is not None else max(16, 2 * moving)
     if cut < 1:
         raise UsageError(f"cutoff must be positive, got {cut}")
 
+    chern = total_chern(weights, cut)
     virtual = bool(neg)
-    if virtual:
-        chern = total_chern_virtual(pos, neg, cut)
-    else:
-        chern = total_chern(pos, cut)
     palindromic = ch.is_palindromic()
     sw = None
     if palindromic and not virtual:
@@ -436,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             report = run_restrict(args.n, args.expression, args.convention, args.cutoff)
             code = 0
-    except UsageError as exc:
+    except (UsageError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

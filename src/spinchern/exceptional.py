@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .char_classes import mod2, total_chern, total_sw_real, weights_from_character
+from .char_classes import total_chern, total_sw_real, weights_from_character
 from .laurent import TruncatedPoly
 from .spin_reps import (
     DELTA,
@@ -265,9 +265,9 @@ def verify_case(
         expected_top="",
     )
 
+    chern_f2 = total_chern(weights, cutoff, "F2")
     if case.class_kind == CHERN_KIND:
-        integral = total_chern(weights, cutoff)
-        series = mod2(integral)
+        series = chern_f2
         expected_exp = top_u
     else:
         series = total_sw_real(ch, cutoff)
@@ -296,8 +296,6 @@ def verify_case(
     square_ok = True
     complexified_ok = True
     if case.class_kind == SW_KIND:
-        integral = total_chern(weights, cutoff)
-        chern_f2 = mod2(integral)
         chern_top_exp = case.top_degree  # c_{top_degree} sits at u^{top_degree}
         chern_shape_ok = _is_one_plus(chern_f2, chern_top_exp)
         chern_membership = indecomposable_in_image(chern_top_exp, sub)

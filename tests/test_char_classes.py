@@ -12,7 +12,6 @@ from spinchern.char_classes import (
     complexification_check,
     mod2,
     total_chern,
-    total_chern_virtual,
     total_sw_real,
     vanishing_on_bso_check,
     weights_from_character,
@@ -42,6 +41,11 @@ def random_weights(rng: random.Random, lo: int = -6, hi: int = 6) -> dict[int, i
         k: rng.randint(1, 5)
         for k in rng.sample(range(lo, hi + 1), rng.randint(0, 5))
     }
+
+
+def signed(pos: dict[int, int], neg: dict[int, int]) -> dict[int, int]:
+    """The signed weight map of the virtual difference pos - neg."""
+    return {k: pos.get(k, 0) - neg.get(k, 0) for k in pos.keys() | neg.keys()}
 
 
 def random_palindromic_character(rng: random.Random) -> MultiLaurent:
@@ -78,9 +82,17 @@ def test_weights_from_lambda_restriction():
     assert weights_from_character(ch) == {0: 6, 2: 1, -2: 1}
 
 
-def test_weights_reject_virtual_character():
-    with pytest.raises(VirtualCharacterError, match="total_chern_virtual"):
-        weights_from_character(z() - z(-1))
+def test_weights_of_virtual_character_are_signed():
+    assert weights_from_character(z() - z(-1)) == {1: 1, -1: -1}
+
+
+def test_sw_rejects_palindromic_virtual_character():
+    ch = 3 - z(2) - z(-2)
+    assert ch.is_palindromic()
+    with pytest.raises(VirtualCharacterError):
+        total_sw_real(ch, 8)
+    with pytest.raises(VirtualCharacterError):
+        complexification_check(ch, 8)
 
 
 # ---- total Chern classes -----------------------------------------------------
@@ -144,16 +156,16 @@ def test_conjugation_symmetry():
 
 def test_virtual_reduces_to_total_chern():
     w = {1: 3, -2: 1}
-    assert total_chern_virtual(w, {}, 16) == total_chern(w, 16)
+    assert total_chern(signed(w, {}), 16) == total_chern(w, 16)
 
 
 def test_virtual_self_cancels():
     w = {1: 2, 3: 1}
-    assert total_chern_virtual(w, w, 16) == one("Z", 16)
+    assert total_chern(signed(w, w), 16) == one("Z", 16)
 
 
 def test_virtual_geometric_expansion():
-    got = total_chern_virtual({1: 1}, {2: 1}, 6)
+    got = total_chern(signed({1: 1}, {2: 1}), 6)
     # (1 + u) * (1 + 2u)^{-1}, checked by re-multiplying
     assert got * total_chern({2: 1}, 6) == total_chern({1: 1}, 6)
     expected = [1, -1, 2, -4, 8, -16, 32]
@@ -165,8 +177,27 @@ def test_virtual_round_trip_random():
     for _ in range(200):
         pos = random_weights(rng)
         neg = random_weights(rng)
-        virt = total_chern_virtual(pos, neg, 16)
+        virt = total_chern(signed(pos, neg), 16)
         assert virt * total_chern(neg, 16) == total_chern(pos, 16)
+
+
+def test_negative_multiplicity_is_binomial_series():
+    # (1 + 2u)^{-1} = sum of (-2u)^j
+    assert total_chern({2: -1}, 6).coeffs == (1, -2, 4, -8, 16, -32, 64)
+
+
+def test_signed_weights_match_series_division_oracle():
+    rng = random.Random(19)
+    for _ in range(200):
+        w = {
+            k: rng.choice((-1, 1)) * rng.randint(1, 9)
+            for k in rng.sample(range(-6, 7), rng.randint(0, 6))
+        }
+        pos = {k: a for k, a in w.items() if a > 0}
+        neg = {k: -a for k, a in w.items() if a < 0}
+        got = total_chern(w, 24)
+        assert got == total_chern(pos, 24) * total_chern(neg, 24).inverse(), w
+        assert total_chern(w, 24, "F2") == mod2(got), w
 
 
 # ---- mod-2 reduction --------------------------------------------------------------

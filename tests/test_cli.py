@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import spinchern
+from spinchern.char_classes import total_chern
 from spinchern.cli import main
+from spinchern.laurent import TruncatedPoly
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -127,6 +129,38 @@ def test_restrict_virtual_expression(capsys):
     report = json.loads(out)
     assert report["virtual"] is True
     assert report["negative_weights"] == {"0": 16}
+
+
+def test_restrict_virtual_with_moving_weights_on_both_sides(capsys):
+    code, out = run_cli(
+        capsys, "restrict", "--n", "12", "--cutoff", "64", "--format", "json",
+        "3*delta+ - lambda2",
+    )
+    assert code == 0
+    report = json.loads(out)
+    pos = {int(k): a for k, a in report["weights"].items()}
+    neg = {int(k): a for k, a in report["negative_weights"].items()}
+    assert pos.keys() - {0} and neg.keys() - {0}
+    chern = TruncatedPoly.from_dict(
+        "Z", 64, {int(k): c for k, c in report["total_chern"].items()}
+    )
+    # Whitney round trip: c(pos - neg) * c(neg) == c(pos)
+    assert chern * total_chern(neg, 64) == total_chern(pos, 64)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("restrict", "--n", "201", "delta"),
+        ("restrict", "--n", "9", "delta", "--cutoff", "99999999999999999999"),
+        ("prop2", "--m", "3..3", "--cutoff", "99999999999999999999"),
+        ("theorem1", "--cutoff", "99999999999999999999"),
+    ],
+)
+def test_unallocatable_cutoff_is_usage_error(argv, capsys):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_never_expands_full_torus_characters(monkeypatch, capsys):
