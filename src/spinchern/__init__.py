@@ -22,14 +22,12 @@ from .char_classes import (
 )
 from .exceptional import (
     ExceptionalCase,
-    ImageSubring,
     VerificationReport,
     builtin_cases,
     dimension_audit,
     indecomposable_in_image,
     verify_all,
     verify_case,
-    verify_remark_generation,
 )
 from .laurent import MultiLaurent, TruncatedPoly, elementary_symmetric
 from .spin_reps import (
@@ -105,13 +103,11 @@ __all__ = [
     "j_degrees_expected",
     "j_ideal_generators",
     "ExceptionalCase",
-    "ImageSubring",
     "VerificationReport",
     "builtin_cases",
     "indecomposable_in_image",
     "verify_case",
     "verify_all",
-    "verify_remark_generation",
     "dimension_audit",
     "__version__",
 ]

@@ -83,7 +83,7 @@ def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> Trunca
 
 def mod2(c: TruncatedPoly) -> TruncatedPoly:
     """Coefficientwise mod-2 reduction of a total class."""
-    return c.to_f2()
+    return TruncatedPoly("F2", c.cutoff, c.coeffs)
 
 
 def total_sw_real(ch: MultiLaurent, cutoff: int) -> TruncatedPoly:

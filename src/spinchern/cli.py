@@ -11,7 +11,8 @@ Four subcommands:
                    classes.
 
 Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error,
-a cutoff too large to allocate, or an unwritable ``--out`` path.
+an input over one of the ``MAX_*`` budgets (estimated from closed forms
+before any work), or an unwritable ``--out`` path.
 Identical inputs produce byte-identical reports.
 """
 
@@ -19,12 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable
 
 from . import __version__
 from .char_classes import mod2, total_chern, total_sw_real, weights_from_character
-from .exceptional import GROUP_ORDER, get_case, verify_case, verify_remark_generation
+from .exceptional import GROUP_ORDER, verify_all
 from .laurent import TruncatedPoly
 from .spin_reps import (
     CONVENTIONS,
@@ -49,9 +51,78 @@ MISMATCH = 1
 # reported by degree only (override with --full-j).
 DEFAULT_J_POLY_LIMIT = 65
 
+# Input budgets, estimated from closed forms and checked before any work.
+MAX_N = 1024  # quillen and restrict; a quillen row at n holds ~n^2/8 bits of degrees
+MAX_QUILLEN_ROWS = 128  # a row costs ~0.07 s and ~90 KB of json report
+MAX_FULL_J_DEGREE = 513  # --full-j up to n = 20, whose degree-513 generator takes minutes
+MAX_SERIES_TERMS = 2**18  # coefficients of one truncated series
+MAX_SERIES_BITS = 2**24  # one integral series, all its coefficients together
+MAX_COEFF_BITS = 14_000  # one printed integer; Python prints at most 4300 digits
+MAX_PRODUCT_WORK = 2**28  # coefficient products, each weighted by 8 + its 64-bit limbs
+
 
 class UsageError(Exception):
     pass
+
+
+def _check_terms(cutoff: int | None) -> None:
+    if cutoff is not None and cutoff + 1 > MAX_SERIES_TERMS:
+        raise UsageError(
+            f"cutoff {cutoff} needs {cutoff + 1} coefficients per series; "
+            f"the budget is {MAX_SERIES_TERMS}"
+        )
+
+
+def _log2_binom(n: int, k: int) -> float:
+    """An upper bound on log2 binom(n, k), from binom(n, k) <= (e n / k)^k."""
+    k = min(k, n - k)
+    return k * (math.log2(math.e) + math.log2(n) - math.log2(k)) if k > 0 else 0.0
+
+
+def _chern_bounds(weights: dict[int, int], cutoff: int) -> tuple[int, int]:
+    """Upper bounds on the bit length of every coefficient of
+    ``total_chern(weights, cutoff)`` and on its coefficient products.
+
+    With c the cutoff, K the largest moving |weight| and A, B the positive
+    and negative moving multiplicities, the u^j coefficient of
+    prod (1 + k u)^a_k is at most that of (1 + K u)^A (1 - K u)^-B, which is
+    at most K^j min(2^A, binom(A + c, c)) binom(c + B - 1, c) (the last
+    factor is 1 when B = 0, and then also j <= A).  ``total_chern``
+    multiplies the factors in one at a time, each product at most c + 1
+    times the factor's length: min(a, c) + 1, or c + 1 for a series.
+    """
+    moving = {k: a for k, a in weights.items() if k and a}
+    if not moving:
+        return 1, 0
+    a_pos = sum(a for a in moving.values() if a > 0)
+    b_neg = -sum(a for a in moving.values() if a < 0)
+    top = cutoff if b_neg else min(cutoff, a_pos)
+    log_coeff = (
+        top * math.log2(max(abs(k) for k in moving))
+        + min(a_pos, _log2_binom(a_pos + cutoff, cutoff))
+        + _log2_binom(cutoff + b_neg - 1, cutoff)
+    )
+    lengths = (min(a, cutoff) + 1 if a > 0 else cutoff + 1 for a in moving.values())
+    return 1 + math.ceil(log_coeff), (cutoff + 1) * sum(lengths)
+
+
+def _check_chern_budget(weights: dict[int, int], cutoff: int) -> None:
+    """Refuse an integral total Chern class over budget, before building it.
+
+    The widest printed integer is a Chern coefficient or a multiplicity.
+    """
+    _check_terms(cutoff)
+    bits, products = _chern_bounds(weights, cutoff)
+    bits = max(bits, max((abs(a) for a in weights.values()), default=0).bit_length())
+    if (
+        bits > MAX_COEFF_BITS
+        or (cutoff + 1) * bits > MAX_SERIES_BITS
+        or products * (8 + bits // 64) > MAX_PRODUCT_WORK
+    ):
+        raise UsageError(
+            f"the total Chern class up to u^{cutoff} may need {bits}-bit coefficients "
+            f"and {products} coefficient products; that is over budget"
+        )
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
@@ -76,8 +147,8 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
     restriction is 1 for the exterior powers and 1 + u^dim for the spinors."""
     if not 3 <= m_lo <= m_hi <= 16:
         raise UsageError(f"m range must sit inside 3..16, got {m_lo}..{m_hi}")
+    _check_terms(cutoff)
     checks = []
-    all_pass = True
     for m in range(m_lo, m_hi + 1):
         for n in (2 * m, 2 * m + 1):
             g = SpinGroup(n)
@@ -96,8 +167,6 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
                     expected = TruncatedPoly.one("F2", cut)
                 else:
                     expected = TruncatedPoly.from_dict("F2", cut, {0: 1, spin_dim: 1})
-                ok = series == expected
-                all_pass = all_pass and ok
                 checks.append(
                     {
                         "m": m,
@@ -105,7 +174,7 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
                         "symbol": str(sym),
                         "computed": str(series),
                         "expected": str(expected),
-                        "pass": ok,
+                        "pass": series == expected,
                     }
                 )
     return {
@@ -116,38 +185,32 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
         "checks": checks,
         "total": len(checks),
         "passed": sum(1 for c in checks if c["pass"]),
-        "all_passed": all_pass,
+        "all_passed": all(c["pass"] for c in checks),
     }
 
 
 def run_theorem1(groups: list[str], convention: str, cutoff: int | None) -> dict:
-    cases = []
-    all_passed = True
-    for name in GROUP_ORDER:
-        if name not in groups:
-            continue
-        case = get_case(name)
-        try:
-            report = verify_case(case, cutoff=cutoff, convention=convention)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        entry = report.to_dict()
-        entry["generates_image"] = verify_remark_generation(case, report)
-        entry["target"] = case.target
-        cases.append(entry)
-        all_passed = all_passed and report.passed and entry["generates_image"]
+    _check_terms(cutoff)
+    try:
+        reports = verify_all(groups, cutoff=cutoff, convention=convention)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return {
         "command": "theorem1",
         "tool_version": __version__,
         "convention": convention,
-        "cases": cases,
-        "all_passed": all_passed,
+        "cases": [r.to_dict() for r in reports],
+        "all_passed": all(r.passed for r in reports),
     }
 
 
 def run_quillen(n_lo: int, n_hi: int, full_j: bool) -> dict:
-    if n_lo < 6:
-        raise UsageError(f"n must be >= 6, got {n_lo}")
+    if not 6 <= n_lo <= n_hi <= MAX_N:
+        raise UsageError(f"n range must sit inside 6..{MAX_N}, got {n_lo}..{n_hi}")
+    if n_hi - n_lo + 1 > MAX_QUILLEN_ROWS:
+        raise UsageError(f"{n_hi - n_lo + 1} rows requested; the budget is {MAX_QUILLEN_ROWS}")
+    if full_j and 2 ** (quillen_h(n_hi).h - 1) + 1 > MAX_FULL_J_DEGREE:
+        raise UsageError(f"--full-j stops at degree {MAX_FULL_J_DEGREE} (n <= 20), got n = {n_hi}")
     rows = []
     for n in range(n_lo, n_hi + 1):
         info = quillen_h(n)
@@ -176,15 +239,11 @@ def run_quillen(n_lo: int, n_hi: int, full_j: bool) -> dict:
 
 
 def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -> dict:
-    if n < 6:
-        raise UsageError(f"n must be >= 6, got {n}")
+    if not 6 <= n <= MAX_N:
+        raise UsageError(f"n must sit inside 6..{MAX_N}, got {n}")
     try:
         expr = parse_expr(expression)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    g = SpinGroup(n)
-    try:
-        ch = character_on_T1(g, expr, convention)
+        ch = character_on_T1(SpinGroup(n), expr, convention)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -195,13 +254,12 @@ def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -
     cut = cutoff if cutoff is not None else max(16, 2 * moving)
     if cut < 1:
         raise UsageError(f"cutoff must be positive, got {cut}")
+    _check_chern_budget(weights, cut)
 
     chern = total_chern(weights, cut)
     virtual = bool(neg)
     palindromic = ch.is_palindromic()
-    sw = None
-    if palindromic and not virtual:
-        sw = str(total_sw_real(ch, cut))
+    sw = str(total_sw_real(ch, cut)) if palindromic and not virtual else None
 
     return {
         "command": "restrict",
@@ -381,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quillen", help="spinor type, h, deg z and ideal generators")
     p.add_argument("--n", required=True, help="n or range A..B")
     p.add_argument("--full-j", action="store_true",
-                   help="expand ideal generator polynomials of every degree")
+                   help="expand ideal generator polynomials of every degree (n <= 20)")
     p.add_argument("--format", choices=("json", "md", "plain"), default="plain", dest="fmt")
     p.add_argument("--out", default=None)
 

@@ -14,7 +14,7 @@ square relation between Stiefel-Whitney and Chern classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .char_classes import total_chern, total_sw_real, weights_from_character
 from .laurent import TruncatedPoly
@@ -119,26 +119,17 @@ def get_case(group: str) -> ExceptionalCase:
     raise ValueError(f"unknown group {group!r}; expected one of {GROUP_ORDER}")
 
 
-@dataclass(frozen=True)
-class ImageSubring:
-    """The image of the circle restriction: the polynomial ring on u^{2^{h-1}}."""
+def indecomposable_in_image(u_power: int, h: int) -> str:
+    """Classify u^{u_power} inside the image F2[u^{2^{h-1}}] of the circle
+    restriction.
 
-    h: int
-
-    @property
-    def generator_power(self) -> int:
-        return 2 ** (self.h - 1)
-
-
-def indecomposable_in_image(u_power: int, sub: ImageSubring) -> str:
-    """Classify u^{u_power} inside the polynomial ring on v = u^{2^{h-1}}.
-
-    Monomials v^q are indecomposable exactly for q = 1; powers of u not
-    divisible by 2^{h-1} are not in the image at all.
+    Monomials v^q of the generator v = u^{2^{h-1}} are indecomposable
+    exactly for q = 1; powers of u not divisible by 2^{h-1} are not in the
+    image at all.
     """
     if u_power <= 0:
         raise ValueError("u-exponent must be positive")
-    gen = sub.generator_power
+    gen = 2 ** (h - 1)
     if u_power % gen:
         return NOT_IN_IMAGE
     return INDECOMPOSABLE if u_power == gen else DECOMPOSABLE
@@ -146,7 +137,11 @@ def indecomposable_in_image(u_power: int, sub: ImageSubring) -> str:
 
 @dataclass
 class VerificationReport:
-    """Machine-checkable record of one case verification."""
+    """Machine-checkable record of one case verification.
+
+    ``to_dict`` is the case's entry in a theorem1 report.  The case
+    generates the image exactly when its top class is indecomposable there.
+    """
 
     group: str
     n: int
@@ -155,35 +150,21 @@ class VerificationReport:
     convention: str
     cutoff: int
     character: str
+    target: str
     total_class: dict[int, int]
     total_class_str: str
     top_class: str
-    expected_top: str
-    verdicts: dict[str, object] = field(default_factory=dict)
-    complexified: dict[str, object] | None = None
-    dimensions: dict[str, int] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-    passed: bool = False
+    expected: str
+    verdicts: dict[str, object]
+    complexified: dict[str, object] | None
+    dimensions: dict[str, int]
+    notes: list[str]
+    passed: bool
+    generates_image: bool
 
     def to_dict(self) -> dict:
-        out = {
-            "group": self.group,
-            "n": self.n,
-            "h": self.h,
-            "class_kind": self.class_kind,
-            "convention": self.convention,
-            "cutoff": self.cutoff,
-            "character": self.character,
-            "total_class": {str(k): v for k, v in sorted(self.total_class.items())},
-            "total_class_str": self.total_class_str,
-            "top_class": self.top_class,
-            "expected": self.expected_top,
-            "verdicts": self.verdicts,
-            "complexified": self.complexified,
-            "dimensions": self.dimensions,
-            "notes": list(self.notes),
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        out["total_class"] = {str(k): v for k, v in sorted(self.total_class.items())}
         return out
 
 
@@ -192,8 +173,7 @@ def _u_power_str(k: int) -> str:
 
 
 def _is_one_plus(series: TruncatedPoly, k: int) -> bool:
-    expected = TruncatedPoly.from_dict(series.ring, series.cutoff, {0: 1, k: 1})
-    return series == expected
+    return series == TruncatedPoly.from_dict(series.ring, series.cutoff, {0: 1, k: 1})
 
 
 def dimension_audit(case: ExceptionalCase) -> dict:
@@ -235,9 +215,7 @@ def verify_case(
     dimension.  Mismatches produce a failing report with the computed
     witness, never an exception.
     """
-    g = case.spin_group
-    info = quillen_h(case.spin_n)
-    sub = ImageSubring(info.h)
+    h = quillen_h(case.spin_n).h
     top_u = case.top_u_exponent
 
     max_u = case.top_degree if case.class_kind == SW_KIND else top_u
@@ -248,98 +226,66 @@ def verify_case(
             f"cutoff {cutoff} cannot see the top class at u^{max_u} for {case.group}"
         )
 
-    ch = character_on_T1(g, case.restriction, convention)
-    weights = weights_from_character(ch)
+    ch = character_on_T1(case.spin_group, case.restriction, convention)
+    chern_f2 = total_chern(weights_from_character(ch), cutoff, "F2")
+    series = chern_f2 if case.class_kind == CHERN_KIND else total_sw_real(ch, cutoff)
+    top_coeff = series.coefficient(top_u)
+    shape_ok = _is_one_plus(series, top_u)
+    membership = indecomposable_in_image(top_u, h) if top_coeff else NOT_IN_IMAGE
+    notes = [] if shape_ok else [f"total class is {series}, expected 1 + {_u_power_str(top_u)}"]
+    verdicts: dict[str, object] = {
+        "top_class_present": bool(top_coeff),
+        "total_class_shape": shape_ok,
+        "membership": "in-image" if membership != NOT_IN_IMAGE else NOT_IN_IMAGE,
+        "indecomposability": membership,
+        "square_relation": "n/a",
+    }
 
-    report = VerificationReport(
-        group=case.group,
-        n=case.spin_n,
-        h=info.h,
-        class_kind=case.class_kind,
-        convention=convention,
-        cutoff=cutoff,
-        character=str(ch),
-        total_class={},
-        total_class_str="",
-        top_class="",
-        expected_top="",
-    )
-
-    chern_f2 = total_chern(weights, cutoff, "F2")
-    if case.class_kind == CHERN_KIND:
-        series = chern_f2
-        expected_exp = top_u
-    else:
-        series = total_sw_real(ch, cutoff)
-        expected_exp = top_u  # w_{top_degree} = u^{top_degree/2}
-
-    report.total_class = series.sparse()
-    report.total_class_str = str(series)
-    top_coeff = series.coefficient(expected_exp)
-    report.top_class = _u_power_str(expected_exp) if top_coeff else "0"
-    report.expected_top = _u_power_str(expected_exp)
-
-    shape_ok = _is_one_plus(series, expected_exp)
-    if not shape_ok:
-        report.notes.append(
-            f"total class is {series}, expected 1 + {_u_power_str(expected_exp)}"
-        )
-
-    membership = indecomposable_in_image(expected_exp, sub) if top_coeff else NOT_IN_IMAGE
-    report.verdicts["top_class_present"] = bool(top_coeff)
-    report.verdicts["total_class_shape"] = shape_ok
-    report.verdicts["membership"] = (
-        "in-image" if membership != NOT_IN_IMAGE else NOT_IN_IMAGE
-    )
-    report.verdicts["indecomposability"] = membership
-
-    square_ok = True
-    complexified_ok = True
+    complexified = None
+    sw_ok = True
     if case.class_kind == SW_KIND:
         chern_top_exp = case.top_degree  # c_{top_degree} sits at u^{top_degree}
         chern_shape_ok = _is_one_plus(chern_f2, chern_top_exp)
-        chern_membership = indecomposable_in_image(chern_top_exp, sub)
+        chern_membership = indecomposable_in_image(chern_top_exp, h)
         square_ok = chern_f2 == series * series
-        complexified_ok = chern_shape_ok and chern_membership == DECOMPOSABLE
-        report.complexified = {
+        sw_ok = square_ok and chern_shape_ok and chern_membership == DECOMPOSABLE
+        complexified = {
             "total_class_str": str(chern_f2),
             "top_class": _u_power_str(chern_top_exp),
             "shape": chern_shape_ok,
             "indecomposability": chern_membership,
         }
-        report.verdicts["square_relation"] = square_ok
-    else:
-        report.verdicts["square_relation"] = "n/a"
+        verdicts["square_relation"] = square_ok
 
+    generates_image = membership == INDECOMPOSABLE
     audit = dimension_audit(case)
-    report.dimensions = {
-        "ambient": audit["ambient"],
-        "vector_rep": audit["computed_vector_rep"],
-        "paper_literal": audit["computed_paper_literal"],
-    }
-    report.verdicts["dimension"] = "pass" if audit["pass"] else "fail"
+    verdicts["dimension"] = "pass" if audit["pass"] else "fail"
     if audit["note"]:
-        report.notes.append(audit["note"])
+        notes.append(audit["note"])
 
-    report.passed = (
-        shape_ok
-        and membership == INDECOMPOSABLE
-        and square_ok
-        and complexified_ok
-        and audit["pass"]
-    )
-    return report
-
-
-def verify_remark_generation(case: ExceptionalCase, report: VerificationReport) -> bool:
-    """The computed top class generates the image subring.
-
-    True iff its u-exponent equals the subring generator's, i.e. the class
-    is the generator u^{2^{h-1}} itself.
-    """
-    sub = ImageSubring(report.h)
-    return report.verdicts.get("top_class_present", False) and (
-        case.top_u_exponent == sub.generator_power
+    return VerificationReport(
+        group=case.group,
+        n=case.spin_n,
+        h=h,
+        class_kind=case.class_kind,
+        convention=convention,
+        cutoff=cutoff,
+        character=str(ch),
+        target=case.target,
+        total_class=series.sparse(),
+        total_class_str=str(series),
+        top_class=_u_power_str(top_u) if top_coeff else "0",
+        expected=_u_power_str(top_u),
+        verdicts=verdicts,
+        complexified=complexified,
+        dimensions={
+            "ambient": audit["ambient"],
+            "vector_rep": audit["computed_vector_rep"],
+            "paper_literal": audit["computed_paper_literal"],
+        },
+        notes=notes,
+        passed=generates_image and shape_ok and sw_ok and audit["pass"],
+        generates_image=generates_image,
     )
 
 

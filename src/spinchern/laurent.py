@@ -401,10 +401,6 @@ class TruncatedPoly:
 
     # ---- conversions -------------------------------------------------------
 
-    def to_f2(self) -> TruncatedPoly:
-        """Coefficientwise mod-2 reduction."""
-        return TruncatedPoly("F2", self.cutoff, self.coeffs)
-
     def truncate(self, new_cutoff: int) -> TruncatedPoly:
         if new_cutoff > self.cutoff:
             raise ValueError("cannot extend a truncated polynomial")

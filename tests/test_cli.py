@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinchern
 from spinchern.char_classes import total_chern
-from spinchern.cli import main
+from spinchern.cli import _chern_bounds, main
 from spinchern.laurent import TruncatedPoly
 
 
@@ -163,6 +169,52 @@ def test_unallocatable_cutoff_is_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("restrict", "--n", "40", "delta+"),
+        ("restrict", "--n", "14", "--cutoff", "100000000", "lambda1"),
+        ("theorem1", "--cutoff", "100000000"),
+        ("prop2", "--m", "3..3", "--cutoff", "100000000"),
+        # a dense virtual series: (cutoff + 1)^2 products of 4000-bit integers
+        ("restrict", "--n", "9", "--convention", "vector-rep", "--cutoff", "4000",
+         "16 - lambda1"),
+        ("restrict", "--n", "1025", "--cutoff", "16", "lambda1"),
+        ("quillen", "--n", "6..2000000"),
+        ("quillen", "--n", "6..134"),
+        ("quillen", "--n", "40000"),
+        ("quillen", "--n", "6..21", "--full-j"),
+    ],
+)
+def test_over_budget_input_is_refused_before_work(argv, capsys):
+    start = time.perf_counter()
+    assert main(list(argv)) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_budgets_admit_the_largest_documented_runs(capsys):
+    # the benchmark's costliest restrict item, README's quillen range and a
+    # --full-j range; prop2 --m 16..16 runs in the test below
+    argv = ("restrict", "--n", "17", "--cutoff", "512", "--convention", "vector-rep",
+            "--format", "json", "3*lambda6 + 3*lambda7 - 3*delta")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, "quillen", "--n", "6..20", "--format", "md")[0] == 0
+    assert run_cli(capsys, "quillen", "--n", "6..12", "--full-j")[0] == 0
+
+
+@given(
+    st.dictionaries(st.integers(-4, 4), st.integers(-8, 8), max_size=5),
+    st.integers(1, 48),
+)
+@settings(max_examples=150, deadline=None)
+def test_chern_bounds_cover_the_computed_series(weights, cutoff):
+    bits, _ = _chern_bounds(weights, cutoff)
+    widest = max(abs(c).bit_length() for c in total_chern(weights, cutoff).coeffs)
+    assert widest <= bits
+
+
 def test_cli_never_expands_full_torus_characters(monkeypatch, capsys):
     # circle characters come from the closed forms; the T^m expansion is the
     # tests' oracle only, and at m = 16 it would not fit in memory
@@ -196,6 +248,35 @@ def test_json_reports_are_byte_identical(capsys):
     assert report["all_passed"] is True
     assert [c["group"] for c in report["cases"]] == ["F4", "E6", "E7", "E8"]
     assert report["tool_version"]
+
+
+# sha256 of theorem1 reports as printed before VerificationReport.to_dict
+# became dataclasses.asdict; a report format change must update these on purpose
+THEOREM1_DIGESTS = [
+    (("--format", "json"),
+     "c5dfc3ac74b6f23054adb1731c298c1005672f3d3b46356a44c8ce871ce2991b"),
+    (("--format", "md"),
+     "60fb526e2676b6a11b532e6ec1c54009074d7af4ed449aff33f98a6669e1c4f7"),
+    (("--format", "plain"),
+     "a68f75497e960e24ef7ee5b4fa831259cf61e615a220a2795caf71666736dc25"),
+    (("--convention", "paper-literal", "--format", "json"),
+     "20d94264ff6b1e66eef6e54e6082596f1643821079b064fbb1c0eda83733f406"),
+    (("--convention", "paper-literal", "--format", "md"),
+     "60fb526e2676b6a11b532e6ec1c54009074d7af4ed449aff33f98a6669e1c4f7"),
+    (("--convention", "paper-literal", "--format", "plain"),
+     "a68f75497e960e24ef7ee5b4fa831259cf61e615a220a2795caf71666736dc25"),
+    (("--group", "E8", "--format", "json"),
+     "c481effda542e9b42b20fb5a7edb70005cc7043b096530d996f853fdd47ca0f4"),
+    (("--cutoff", "300", "--format", "json"),
+     "ce986be2f22d3fdce6a6f39e00e97d2a6d2966a90a8c11821a1743828935d328"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", THEOREM1_DIGESTS)
+def test_theorem1_reports_are_pinned(argv, digest, capsys):
+    code, out = run_cli(capsys, "theorem1", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_report_fields(capsys):
@@ -269,3 +350,62 @@ def test_spawned_process_exit_codes():
     )
     assert usage.returncode == 2
     assert "error:" in usage.stderr
+
+
+# ---- fuzzing -------------------------------------------------------------------
+
+# Small sizes keep accepted runs cheap; the large ones meet the input budgets.
+_SIZES = st.integers(-2, 14) | st.sampled_from([17, 21, 40, 201, 400, 1025, 10**6, 10**30])
+_CUTOFFS = (
+    st.none()
+    | st.integers(-3, 300).map(str)
+    | st.sampled_from(["262144", "100000000", str(10**20), "abc", "1e3", "", "-", "0x10"])
+)
+_TERMS = st.tuples(
+    st.sampled_from(["", "2*", "3*", "0*", "-1*", "99999999999999999999*"]),
+    st.sampled_from(["lambda1", "lambda2", "lambda5", "lambda0", "delta", "delta+",
+                     "delta-", "triv:2", "7", "0", "beta"]),
+).map("".join)
+_EXPRESSIONS = (
+    st.lists(st.tuples(st.sampled_from([" + ", " - "]), _TERMS), min_size=1, max_size=3)
+    .map(lambda parts: "".join(sep + term for sep, term in parts)[3:])
+    | st.text(alphabet="lambdet+-*:0123456789 ", max_size=16)
+)
+
+
+def _range(bounds: tuple[int, int]) -> str:
+    return f"{bounds[0]}..{bounds[1]}"
+
+
+_ARGVS = st.one_of(
+    st.tuples(st.just("restrict"), st.just("--n"), _SIZES.map(str), _EXPRESSIONS),
+    st.tuples(
+        st.just("prop2"), st.just("--m"),
+        st.tuples(st.integers(-1, 8), st.integers(-1, 8) | st.sampled_from([17, 100]))
+        .map(_range) | st.sampled_from(["4", "x..5", "3..4..5", ""]),
+    ),
+    st.tuples(
+        st.just("quillen"), st.just("--n"),
+        st.tuples(_SIZES, _SIZES).map(_range) | _SIZES.map(str),
+    ),
+    st.tuples(st.just("theorem1"), st.just("--group"),
+              st.sampled_from(["all", "F4", "E6", "E7", "E8", "G2"])),
+)
+
+
+@given(
+    _ARGVS,
+    _CUTOFFS,
+    st.sampled_from([(), ("--convention", "vector-rep"), ("--full-j",), ("--format", "md")]),
+)
+@settings(max_examples=120, deadline=None)
+def test_cli_fuzz_ends_in_a_documented_exit_code(argv, cutoff, extra):
+    argv = list(argv) + list(extra)
+    if cutoff is not None:
+        argv += ["--cutoff", cutoff]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses malformed options itself
+            code = exc.code
+    assert code in (0, 1, 2)
