@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .char_classes import (
     VirtualCharacterError,
     complexification_check,
+    is_palindromic,
     mod2,
     total_chern,
     total_sw_real,
@@ -88,6 +89,7 @@ __all__ = [
     "quillen_h",
     "VirtualCharacterError",
     "weights_from_character",
+    "is_palindromic",
     "total_chern",
     "mod2",
     "total_sw_real",

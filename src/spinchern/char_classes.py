@@ -5,11 +5,13 @@ counts copies of the weight-k line bundle, whose total Chern class is
 1 + k*u with deg u = 2, and a negative a_k marks a virtual difference.  By
 the Whitney formula the total Chern class of the character is the product
 of (1 + k*u)^a_k over its weights for every sign of a_k, a negative power
-being the truncated binomial series; it is computed exactly over Z or
-directly over F2.  For genuine palindromic characters (coefficient of z^k
-equal to that of z^-k) each conjugate pair {k, -k} is the complexification
-of one real 2-plane bundle with total Stiefel-Whitney class 1 + k*u mod 2,
-which gives the real class calculus and the c = w^2 cross-check.
+being the truncated binomial series.  Mod 2 the factor 1 + k*u is 1 + u
+for odd k and 1 for even k, so the mod-2 class is (1 + u)^N with N the
+signed count of odd weights, read off by Lucas' theorem with no product.
+For genuine palindromic characters (coefficient of z^k equal to that of
+z^-k) each conjugate pair {k, -k} is the complexification of one real
+2-plane bundle with total Stiefel-Whitney class 1 + k*u mod 2, which gives
+the real class calculus and the c = w^2 cross-check.
 
 A single generator u of cohomological degree 2 serves both the integral and
 the mod-2 series: c_k and w_{2k} both read off the u^k coefficient.
@@ -21,6 +23,7 @@ from math import comb
 
 from .laurent import MultiLaurent, TruncatedPoly
 from .spin_reps import PAPER_LITERAL, SpinGroup, character_on_T1, lam
+from .steenrod import binom_mod2
 
 WeightMultiset = dict[int, int]
 
@@ -41,26 +44,25 @@ def weights_from_character(ch: MultiLaurent) -> WeightMultiset:
     return {exps[0]: coeff for exps, coeff in ch.items()}
 
 
-def _binomial_factor(ring: str, k: int, mult: int, cutoff: int) -> TruncatedPoly:
-    """(1 + k*u)^mult truncated, by direct binomial expansion.
+def is_palindromic(weights: WeightMultiset) -> bool:
+    """True iff weights k and -k have the same multiplicity for every k
+    (the character is self-conjugate under z -> z^-1)."""
+    return all(a == weights.get(-k, 0) for k, a in weights.items())
+
+
+def _binomial_factor(k: int, mult: int, cutoff: int) -> TruncatedPoly:
+    """(1 + k*u)^mult over Z, truncated, by direct binomial expansion.
 
     A negative ``mult`` gives the binomial series, which runs up to the
     cutoff: binom(mult, j) = (-1)^j binom(j - mult - 1, j).
     """
-    if k == 0 or mult == 0 or (ring == "F2" and k % 2 == 0):
-        return TruncatedPoly.one(ring, cutoff)
-    top = min(mult, cutoff) if mult > 0 else cutoff
-    if ring == "F2":
-        # binom(mult, j) mod 2 by Lucas; the odd weight contributes k^j = 1
-        coeffs = [
-            1 if ((mult if mult > 0 else j - mult - 1) & j) == j else 0
-            for j in range(top + 1)
-        ]
-    elif mult > 0:
-        coeffs = [comb(mult, j) * k**j for j in range(top + 1)]
+    if k == 0 or mult == 0:
+        return TruncatedPoly.one("Z", cutoff)
+    if mult > 0:
+        coeffs = [comb(mult, j) * k**j for j in range(min(mult, cutoff) + 1)]
     else:
-        coeffs = [comb(j - mult - 1, j) * (-k) ** j for j in range(top + 1)]
-    return TruncatedPoly(ring, cutoff, coeffs)
+        coeffs = [comb(j - mult - 1, j) * (-k) ** j for j in range(cutoff + 1)]
+    return TruncatedPoly("Z", cutoff, coeffs)
 
 
 def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> TruncatedPoly:
@@ -69,15 +71,18 @@ def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> Trunca
     The multiplicities a_k may be negative, so one routine serves genuine
     and virtual characters: c(pos - neg) = c(pos) * c(neg)^{-1} by the
     Whitney formula.  ``ring`` is ``"Z"`` for the integral class or
-    ``"F2"`` for its mod-2 reduction computed directly over F2.  Reduction
-    mod 2 is a ring homomorphism, so
-    ``total_chern(w, c, "F2") == mod2(total_chern(w, c))``, but the F2 route
-    stays cheap where the integer coefficients would be astronomically
-    large: even weights contribute the factor 1 outright.
+    ``"F2"`` for its mod-2 reduction, which is (1 + u)^N with N the signed
+    count of odd weights: its u^j coefficient is binom(N, j) mod 2, and the
+    row ends at u^N for N >= 0.  Reduction mod 2 is a ring homomorphism, so
+    ``total_chern(w, c, "F2") == mod2(total_chern(w, c))``.
     """
+    if ring == "F2":
+        odd = sum(a for k, a in weights.items() if k % 2)
+        top = min(odd, cutoff) if odd >= 0 else cutoff
+        return TruncatedPoly("F2", cutoff, [binom_mod2(odd, j) for j in range(top + 1)])
     out = TruncatedPoly.one(ring, cutoff)
     for k in sorted(weights):
-        out = out * _binomial_factor(ring, k, weights[k], cutoff)
+        out = out * _binomial_factor(k, weights[k], cutoff)
     return out
 
 
@@ -86,29 +91,26 @@ def mod2(c: TruncatedPoly) -> TruncatedPoly:
     return TruncatedPoly("F2", c.cutoff, c.coeffs)
 
 
-def total_sw_real(ch: MultiLaurent, cutoff: int) -> TruncatedPoly:
-    """Total Stiefel-Whitney class of the real form of a palindromic character.
+def total_sw_real(weights: WeightMultiset, cutoff: int) -> TruncatedPoly:
+    """Total Stiefel-Whitney class of the real form of a palindromic weight map.
 
     Each conjugate pair z^k + z^-k (k > 0) is the complexification of a real
     2-plane bundle with total class 1 + k*u mod 2; weight-0 summands are
     trivial real lines and contribute 1.  A virtual character has no real
     form here and raises VirtualCharacterError.
     """
-    if ch.nvars != 1:
-        raise ValueError("real Stiefel-Whitney classes need a univariate character")
-    weights = weights_from_character(ch)
     for k, a in weights.items():
         if a < 0:
             raise VirtualCharacterError(
                 f"coefficient {a} of z^{k} is negative; a virtual character "
                 "has no real form here"
             )
-    if not ch.is_palindromic():
+    if not is_palindromic(weights):
         raise ValueError("character is not palindromic; it has no real form here")
     return total_chern({k: a for k, a in weights.items() if k > 0}, cutoff, "F2")
 
 
-def complexification_check(ch: MultiLaurent, cutoff: int) -> bool:
+def complexification_check(weights: WeightMultiset, cutoff: int) -> bool:
     """Verify c_i of the complexification equals w_i squared, coefficientwise.
 
     The complexification of the real form of a palindromic character has
@@ -117,9 +119,8 @@ def complexification_check(ch: MultiLaurent, cutoff: int) -> bool:
     right side is the square of total_sw_real.  Both sides are computed
     independently.
     """
-    sw = total_sw_real(ch, cutoff)
-    left = mod2(total_chern(weights_from_character(ch), cutoff))
-    return left == sw * sw
+    sw = total_sw_real(weights, cutoff)
+    return mod2(total_chern(weights, cutoff)) == sw * sw
 
 
 def vanishing_on_bso_check(g: SpinGroup, cutoff: int = 32) -> bool:
@@ -130,5 +131,5 @@ def vanishing_on_bso_check(g: SpinGroup, cutoff: int = 32) -> bool:
     the class-level witness that the composite of the circle inclusion with
     Spin(n) -> SO(n) kills reduced mod-2 cohomology.
     """
-    ch = character_on_T1(g, lam(1), PAPER_LITERAL)
-    return total_sw_real(ch, cutoff) == TruncatedPoly.one("F2", cutoff)
+    weights = weights_from_character(character_on_T1(g, lam(1), PAPER_LITERAL))
+    return total_sw_real(weights, cutoff) == TruncatedPoly.one("F2", cutoff)

@@ -12,7 +12,7 @@ Four subcommands:
 
 Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error,
 an input over one of the ``MAX_*`` budgets (estimated from closed forms
-before any work), or an unwritable ``--out`` path.
+before any work), or a report that cannot be written (``--out`` or stdout).
 Identical inputs produce byte-identical reports.
 """
 
@@ -25,7 +25,7 @@ import sys
 from typing import Callable
 
 from . import __version__
-from .char_classes import mod2, total_chern, total_sw_real, weights_from_character
+from .char_classes import is_palindromic, mod2, total_chern, total_sw_real, weights_from_character
 from .exceptional import GROUP_ORDER, verify_all
 from .laurent import TruncatedPoly
 from .spin_reps import (
@@ -56,6 +56,7 @@ MAX_N = 1024  # quillen and restrict; a quillen row at n holds ~n^2/8 bits of de
 MAX_QUILLEN_ROWS = 128  # a row costs ~0.07 s and ~90 KB of json report
 MAX_FULL_J_DEGREE = 513  # --full-j up to n = 20, whose degree-513 generator takes minutes
 MAX_SERIES_TERMS = 2**18  # coefficients of one truncated series
+MAX_SWEEP_TERMS = 2**23  # coefficients of all the series of one prop2 sweep
 MAX_SERIES_BITS = 2**24  # one integral series, all its coefficients together
 MAX_COEFF_BITS = 14_000  # one printed integer; Python prints at most 4300 digits
 MAX_PRODUCT_WORK = 2**28  # coefficient products, each weighted by 8 + its 64-bit limbs
@@ -148,7 +149,7 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
     if not 3 <= m_lo <= m_hi <= 16:
         raise UsageError(f"m range must sit inside 3..16, got {m_lo}..{m_hi}")
     _check_terms(cutoff)
-    checks = []
+    plan = []  # one (m, group, symbol, spinor dimension, cutoff) per series
     for m in range(m_lo, m_hi + 1):
         for n in (2 * m, 2 * m + 1):
             g = SpinGroup(n)
@@ -160,23 +161,17 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
                 )
             symbols: list[RepSymbol] = [lam(i) for i in range(1, g.max_lambda_index() + 1)]
             symbols += [DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA]
-            for sym in symbols:
-                ch = character_on_T1(g, sym, convention)
-                series = total_chern(weights_from_character(ch), cut, "F2")
-                if sym.kind == "lambda":
-                    expected = TruncatedPoly.one("F2", cut)
-                else:
-                    expected = TruncatedPoly.from_dict("F2", cut, {0: 1, spin_dim: 1})
-                checks.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "symbol": str(sym),
-                        "computed": str(series),
-                        "expected": str(expected),
-                        "pass": series == expected,
-                    }
-                )
+            plan += [(m, g, sym, spin_dim, cut) for sym in symbols]
+    terms = sum(cut + 1 for *_, cut in plan)
+    if terms > MAX_SWEEP_TERMS:
+        raise UsageError(f"the sweep needs {terms} coefficients; the budget is {MAX_SWEEP_TERMS}")
+    checks = []
+    for m, g, sym, spin_dim, cut in plan:
+        series = total_chern(weights_from_character(character_on_T1(g, sym, convention)), cut, "F2")
+        sparse = {0: 1} if sym.kind == "lambda" else {0: 1, spin_dim: 1}
+        expected = TruncatedPoly.from_dict("F2", cut, sparse)
+        checks.append({"m": m, "n": g.n, "symbol": str(sym), "computed": str(series),
+                       "expected": str(expected), "pass": series == expected})
     return {
         "command": "prop2",
         "tool_version": __version__,
@@ -258,8 +253,8 @@ def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -
 
     chern = total_chern(weights, cut)
     virtual = bool(neg)
-    palindromic = ch.is_palindromic()
-    sw = str(total_sw_real(ch, cut)) if palindromic and not virtual else None
+    palindromic = is_palindromic(weights)
+    sw = str(total_sw_real(weights, cut)) if palindromic and not virtual else None
 
     return {
         "command": "restrict",
@@ -352,6 +347,8 @@ def _render_md(report: dict) -> str:
         lines.append(f"- character: `{report['character']}`")
         lines.append(f"- dimension: {report['dimension']}")
         lines.append(f"- weights: `{report['weights']}`")
+        if report["virtual"]:
+            lines.append(f"- minus: `{report['negative_weights']}`")
         lines.append(f"- total Chern class: `{report['total_chern_str']}`")
         lines.append(f"- mod 2: `{report['total_chern_mod2']}`")
         if report["total_sw"] is not None:
@@ -474,15 +471,16 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
     text = _RENDERERS[args.fmt](report)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return code
 
 

@@ -227,8 +227,9 @@ def verify_case(
         )
 
     ch = character_on_T1(case.spin_group, case.restriction, convention)
-    chern_f2 = total_chern(weights_from_character(ch), cutoff, "F2")
-    series = chern_f2 if case.class_kind == CHERN_KIND else total_sw_real(ch, cutoff)
+    weights = weights_from_character(ch)
+    chern_f2 = total_chern(weights, cutoff, "F2")
+    series = chern_f2 if case.class_kind == CHERN_KIND else total_sw_real(weights, cutoff)
     top_coeff = series.coefficient(top_u)
     shape_ok = _is_one_plus(series, top_u)
     membership = indecomposable_in_image(top_u, h) if top_coeff else NOT_IN_IMAGE

@@ -210,15 +210,6 @@ class MultiLaurent:
         """Sum of all coefficients (the value at z1 = ... = zm = 1)."""
         return sum(self._terms.values())
 
-    def is_palindromic(self) -> bool:
-        """True iff the coefficient of z^k equals that of z^-k for every k.
-
-        Only defined for univariate values (self-conjugacy under z -> z^-1).
-        """
-        if self.nvars != 1:
-            raise ValueError("is_palindromic is defined for univariate polynomials")
-        return all(c == self._terms.get((-e[0],), 0) for e, c in self._terms.items())
-
     # ---- formatting ------------------------------------------------------
 
     def __str__(self) -> str:

@@ -223,9 +223,9 @@ def test_criterion_07_c_equals_w_squared():
             terms[(k,)] = a
             terms[(-k,)] = a
             budget -= 2 * a
-        ch = MultiLaurent(1, terms)
-        sw = total_sw_real(ch, 64)
-        chern = mod2(total_chern(weights_from_character(ch), 64))
+        w = weights_from_character(MultiLaurent(1, terms))
+        sw = total_sw_real(w, 64)
+        chern = mod2(total_chern(w, 64))
         assert sw * sw == chern, terms
     _report(7, True, "(total SW)^2 == mod-2 total Chern for 200 random characters")
 

@@ -10,6 +10,7 @@ import pytest
 from spinchern.char_classes import (
     VirtualCharacterError,
     complexification_check,
+    is_palindromic,
     mod2,
     total_chern,
     total_sw_real,
@@ -48,22 +49,22 @@ def signed(pos: dict[int, int], neg: dict[int, int]) -> dict[int, int]:
     return {k: pos.get(k, 0) - neg.get(k, 0) for k in pos.keys() | neg.keys()}
 
 
-def random_palindromic_character(rng: random.Random) -> MultiLaurent:
+def random_palindromic_weights(rng: random.Random) -> dict[int, int]:
     # weights in [-5, 5], dimension <= 40
-    terms: dict[tuple[int, ...], int] = {}
+    terms: dict[int, int] = {}
     budget = 40
     a0 = rng.randint(0, 4)
     if a0:
-        terms[(0,)] = a0
+        terms[0] = a0
         budget -= a0
     for k in rng.sample(range(1, 6), rng.randint(0, 4)):
         a = rng.randint(1, max(1, budget // (2 * 4)))
         if budget - 2 * a < 0:
             break
-        terms[(k,)] = a
-        terms[(-k,)] = a
+        terms[k] = a
+        terms[-k] = a
         budget -= 2 * a
-    return MultiLaurent(1, terms)
+    return terms
 
 
 # ---- weight extraction ----------------------------------------------------
@@ -86,13 +87,22 @@ def test_weights_of_virtual_character_are_signed():
     assert weights_from_character(z() - z(-1)) == {1: 1, -1: -1}
 
 
+def test_is_palindromic():
+    assert is_palindromic({1: 8, -1: 8})
+    assert not is_palindromic({1: 1})
+    assert is_palindromic({0: 5})
+    assert is_palindromic({})
+    assert is_palindromic({2: -1, -2: -1, 3: 0})
+    assert not is_palindromic({2: 1, -2: -1})
+
+
 def test_sw_rejects_palindromic_virtual_character():
-    ch = 3 - z(2) - z(-2)
-    assert ch.is_palindromic()
+    w = weights_from_character(3 - z(2) - z(-2))
+    assert is_palindromic(w)
     with pytest.raises(VirtualCharacterError):
-        total_sw_real(ch, 8)
+        total_sw_real(w, 8)
     with pytest.raises(VirtualCharacterError):
-        complexification_check(ch, 8)
+        complexification_check(w, 8)
 
 
 # ---- total Chern classes -----------------------------------------------------
@@ -218,6 +228,17 @@ def test_mod2_identity():
     assert mod2(one("Z", 8)) == one("F2", 8)
 
 
+def test_f2_class_is_a_power_of_one_plus_u():
+    # only odd weights count mod 2: (1 + u)^(3 - 1) = 1 + u^2
+    assert total_chern({1: 3, 2: 5, -3: -1, 0: 4}, 8, "F2").sparse() == {0: 1, 2: 1}
+    # (1 + u)^-1 = 1 + u + u^2 + ... up to the cutoff
+    assert total_chern({1: -1, 4: 2}, 6, "F2").coeffs == (1,) * 7
+    assert total_chern({2: 9}, 6, "F2") == one("F2", 6)
+    # the row stops at u^N, and the cutoff truncates it
+    assert total_chern({-1: 4}, 2, "F2").sparse() == {0: 1}
+    assert total_chern({5: 3}, 8, "F2").sparse() == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
 def test_f2_route_matches_integral_route():
     rng = random.Random(13)
     for _ in range(100):
@@ -231,8 +252,7 @@ def test_f2_route_matches_integral_route():
 def test_sw_of_f4_restriction():
     g = SpinGroup(9)
     expr = RepExpr.from_dict({triv(1): 1, lam(1): 1, DELTA: 1})
-    ch = character_on_T1(g, expr)
-    sw = total_sw_real(ch, 16)
+    sw = total_sw_real(weights_from_character(character_on_T1(g, expr)), 16)
     assert sw == TruncatedPoly.from_dict("F2", 16, {0: 1, 8: 1})
     # w_16 is the u^8 coefficient
     assert sw.coefficient(8) == 1
@@ -241,23 +261,22 @@ def test_sw_of_f4_restriction():
 def test_sw_of_e8_restriction():
     g = SpinGroup(16)
     expr = RepExpr.from_dict({triv(1): 8, lam(2): 1, DELTA_PLUS: 1})
-    ch = character_on_T1(g, expr)
-    sw = total_sw_real(ch, 128)
+    sw = total_sw_real(weights_from_character(character_on_T1(g, expr)), 128)
     assert sw == TruncatedPoly.from_dict("F2", 128, {0: 1, 64: 1})
 
 
 def test_sw_of_constant_character():
-    assert total_sw_real(MultiLaurent.constant(1, 9), 8) == one("F2", 8)
+    assert total_sw_real({0: 9}, 8) == one("F2", 8)
 
 
 def test_sw_rejects_non_palindromic():
     with pytest.raises(ValueError):
-        total_sw_real(z() + 2 * z(-1), 8)
+        total_sw_real({1: 1, -1: 2}, 8)
 
 
 def test_sw_rejects_virtual():
     with pytest.raises(ValueError):
-        total_sw_real(z() + z(-1) - 2, 8)
+        total_sw_real({1: 1, -1: 1, 0: -2}, 8)
 
 
 # ---- c = w^2 ---------------------------------------------------------------------------
@@ -266,24 +285,24 @@ def test_sw_rejects_virtual():
 def test_complexification_check_f4():
     g = SpinGroup(9)
     expr = RepExpr.from_dict({triv(1): 1, lam(1): 1, DELTA: 1})
-    ch = character_on_T1(g, expr)
-    assert complexification_check(ch, 32)
+    w = weights_from_character(character_on_T1(g, expr))
+    assert complexification_check(w, 32)
     # explicitly: (1 + u^8)^2 == 1 + u^16
-    sw = total_sw_real(ch, 32)
-    assert sw * sw == mod2(total_chern(weights_from_character(ch), 32))
+    sw = total_sw_real(w, 32)
+    assert sw * sw == mod2(total_chern(w, 32))
 
 
 def test_complexification_check_constant():
-    assert complexification_check(MultiLaurent.constant(1, 3), 8)
+    assert complexification_check({0: 3}, 8)
 
 
 def test_complexification_random_palindromic():
     rng = random.Random(17)
     for _ in range(200):
-        ch = random_palindromic_character(rng)
-        assert ch.evaluate_at_one() <= 40
-        sw = total_sw_real(ch, 64)
-        chern2 = mod2(total_chern(weights_from_character(ch), 64))
+        w = random_palindromic_weights(rng)
+        assert sum(w.values()) <= 40
+        sw = total_sw_real(w, 64)
+        chern2 = mod2(total_chern(w, 64))
         assert sw * sw == chern2
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinchern
+from spinchern import cli
 from spinchern.char_classes import total_chern
 from spinchern.cli import _chern_bounds, main
 from spinchern.laurent import TruncatedPoly
@@ -176,6 +177,8 @@ def test_unallocatable_cutoff_is_usage_error(argv, capsys):
         ("restrict", "--n", "14", "--cutoff", "100000000", "lambda1"),
         ("theorem1", "--cutoff", "100000000"),
         ("prop2", "--m", "3..3", "--cutoff", "100000000"),
+        # every series fits, but the sweep needs 266 * 2^18 coefficients
+        ("prop2", "--m", "3..16", "--cutoff", "262143"),
         # a dense virtual series: (cutoff + 1)^2 products of 4000-bit integers
         ("restrict", "--n", "9", "--convention", "vector-rep", "--cutoff", "4000",
          "16 - lambda1"),
@@ -197,6 +200,10 @@ def test_over_budget_input_is_refused_before_work(argv, capsys):
 def test_budgets_admit_the_largest_documented_runs(capsys):
     # the benchmark's costliest restrict item, README's quillen range and a
     # --full-j range; prop2 --m 16..16 runs in the test below
+    # prop2 --m 3..16 at its default cutoffs: m series of 2^m + 1 coefficients
+    # at n = 2m and m series of 2^(m+1) + 1 at n = 2m + 1
+    sweep = sum(m * (2**m + 1 + 2 ** (m + 1) + 1) for m in range(3, 17))
+    assert sweep == 5_898_482 and sweep <= cli.MAX_SWEEP_TERMS
     argv = ("restrict", "--n", "17", "--cutoff", "512", "--convention", "vector-rep",
             "--format", "json", "3*lambda6 + 3*lambda7 - 3*delta")
     assert run_cli(capsys, *argv)[0] == 0
@@ -279,6 +286,56 @@ def test_theorem1_reports_are_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the other reports as printed before the mod-2 classes came from
+# the odd-weight count (the md report of "3 - lambda1" after it gained its
+# "- minus:" line); a report format change must update these on purpose
+REPORT_DIGESTS = [
+    (("prop2", "--m", "3..12", "--format", "json"),
+     "a9faef93dfd4ec1a9b88f4acb00c4396f485cbd67bb7de6497029d1b8934cb79"),
+    (("prop2", "--m", "3..12", "--format", "md"),
+     "8d91d4d87b75cb57b55b5449c8a3e8973125e1fb0c0e8d0fadfde27fbbc3e8f6"),
+    (("prop2", "--m", "3..12", "--format", "plain"),
+     "47910f2a2480316f643563485faeca11da8e2844a32aee530e169f72c0919d78"),
+    (("prop2", "--m", "3..12", "--convention", "vector-rep", "--format", "json"),
+     "91c9d87796b4c20162dbe732f054b014964c3b7df724b67ed7d5f1abd42a1525"),
+    (("quillen", "--n", "6..16", "--format", "json"),
+     "3fdbc448f9b6855e6433a0aedecf38065638904c7cdde470c7fa31d0e75ceeda"),
+    (("quillen", "--n", "6..16", "--format", "md"),
+     "8672532110434b8d83e2858599a9d72541733e1d7afcaea952ad4f56a7cd2f3c"),
+    (("quillen", "--n", "6..16", "--format", "plain"),
+     "e62e7fad4b84fa44b1aaf0c4689808ce520728924d3abb7493e7f737c2a3fb35"),
+    (("restrict", "--n", "12", "--format", "json", "2*lambda1 + delta-"),
+     "69e74cd4b38ebb8531331865ceae5beb365938a9d9dac914b0a26e1f1ffb69ef"),
+    (("restrict", "--n", "12", "--format", "md", "2*lambda1 + delta-"),
+     "94f0fd4ac347e81832f76ec238c969aab6bce5d95d7276c20c1c9e245d8e2db5"),
+    (("restrict", "--n", "12", "--format", "plain", "2*lambda1 + delta-"),
+     "fbad74eeba3246c2e7c86d779618ae43a1cebbe18f7b8eb8be1622a7b55bc101"),
+    (("restrict", "--n", "9", "--format", "json", "3 + lambda1 + delta"),
+     "3512acf6e8553521dad8d8ba9f7aeb82470bf92cdf2533ca8154cf381d92e6b4"),
+    (("restrict", "--n", "9", "--format", "md", "3 + lambda1 + delta"),
+     "691ed070de4ccf94f82f2b42ea71afafa8f4dbae11902176cceca5eb54e53426"),
+    (("restrict", "--n", "9", "--format", "plain", "3 + lambda1 + delta"),
+     "3c3322b8725b5348f277c9c77539647a08e7bd74c781cffa6bf2e8489821fc7e"),
+    (("restrict", "--n", "12", "--format", "json", "3 - lambda1"),
+     "94db5e99680b8cdb214202215c85687a9d56a3e85b4f631bc589f66f044ed22c"),
+    (("restrict", "--n", "12", "--format", "md", "3 - lambda1"),
+     "929213f7cffe0f48a7944ed380a808d191614c2b3f7ade0aecb4b489b4f11052"),
+    (("restrict", "--n", "12", "--format", "plain", "3 - lambda1"),
+     "6a4cd20846a4b10b7281c0acdaad0c1037d83f4d22819788f7782fdb1a2b68d6"),
+    (("restrict", "--n", "12", "--cutoff", "64", "--format", "json", "3*delta+ - lambda2"),
+     "f226cce748cce717026a31419bfdfc7f396f1a99519977b549dbfaa8f691205d"),
+    (("restrict", "--n", "12", "--cutoff", "64", "--format", "plain", "3*delta+ - lambda2"),
+     "8a541594e62206193c878d677632a207501e4ad842876db4019c6837d65ee083"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_DIGESTS)
+def test_reports_are_pinned(argv, digest, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_json_report_fields(capsys):
     _, out = run_cli(capsys, "theorem1", "--group", "E6", "--format", "json")
     case = json.loads(out)["cases"][0]
@@ -315,6 +372,21 @@ def test_out_to_missing_directory_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_stdout_write_error_is_usage_error():
+    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinchern.cli", "prop2", "--m", "3..4"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_quillen_json_schema(capsys):

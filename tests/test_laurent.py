@@ -201,17 +201,6 @@ def test_evaluate_at_one():
     assert (z(2) - 2 + z(-2)).evaluate_at_one() == 0
 
 
-def test_is_palindromic():
-    assert (8 * (z() + z(-1))).is_palindromic()
-    assert not z().is_palindromic()
-    assert const(5).is_palindromic()
-
-
-def test_is_palindromic_needs_one_variable():
-    with pytest.raises(ValueError):
-        MultiLaurent(2, {(1, 0): 1}).is_palindromic()
-
-
 # ---- serialization --------------------------------------------------------------
 
 
