@@ -1,8 +1,8 @@
 """Exact characteristic-class computations for spin representations.
 
-Everything is computed symbolically over Z and F2: characters of the
-exterior-power and (half-)spinor generators of R(Spin(n)) restricted to a
-maximal torus and to its first circle factor, total Chern and
+Everything is computed symbolically over Z and F2: the signed weight maps
+of the exterior-power and (half-)spinor generators of R(Spin(n)) restricted
+to the first circle factor of a maximal torus, total Chern and
 Stiefel-Whitney classes of those restrictions, the presentation data of the
 mod-2 cohomology of BSpin(n) (iterated Steenrod squares of w_2 and the
 degree of the polynomial generator z), and the indecomposability verdicts
@@ -19,7 +19,6 @@ from .char_classes import (
     total_chern,
     total_sw_real,
     vanishing_on_bso_check,
-    weights_from_character,
 )
 from .exceptional import (
     ExceptionalCase,
@@ -30,7 +29,7 @@ from .exceptional import (
     verify_all,
     verify_case,
 )
-from .laurent import MultiLaurent, TruncatedPoly, elementary_symmetric
+from .laurent import TruncatedPoly
 from .spin_reps import (
     CONVENTIONS,
     DELTA,
@@ -42,10 +41,10 @@ from .spin_reps import (
     RepSymbol,
     SpinGroup,
     SpinorTypeInfo,
-    character_on_T1,
-    character_on_Tm,
+    circle_weights,
     closed_form_f1_lambda,
     dimension,
+    format_character,
     lam,
     parse_expr,
     quillen_h,
@@ -65,9 +64,7 @@ from .steenrod import (
 )
 
 __all__ = [
-    "MultiLaurent",
     "TruncatedPoly",
-    "elementary_symmetric",
     "SpinGroup",
     "RepSymbol",
     "RepExpr",
@@ -81,14 +78,13 @@ __all__ = [
     "lam",
     "triv",
     "parse_expr",
-    "character_on_Tm",
-    "character_on_T1",
+    "circle_weights",
+    "format_character",
     "closed_form_f1_lambda",
     "dimension",
     "spinor_type",
     "quillen_h",
     "VirtualCharacterError",
-    "weights_from_character",
     "is_palindromic",
     "total_chern",
     "mod2",

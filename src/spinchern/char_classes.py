@@ -1,7 +1,8 @@
 """Chern and Stiefel-Whitney class calculus for circle characters.
 
-A character on the circle is a signed weight map: the coefficient a_k of z^k
-counts copies of the weight-k line bundle, whose total Chern class is
+A character on the circle is a signed weight map ``{k: a_k}``, as
+:func:`spinchern.spin_reps.circle_weights` returns it: the multiplicity a_k
+of z^k counts copies of the weight-k line bundle, whose total Chern class is
 1 + k*u with deg u = 2, and a negative a_k marks a virtual difference.  By
 the Whitney formula the total Chern class of the character is the product
 of (1 + k*u)^a_k over its weights for every sign of a_k, a negative power
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .laurent import MultiLaurent, TruncatedPoly
-from .spin_reps import PAPER_LITERAL, SpinGroup, character_on_T1, lam
+from .laurent import TruncatedPoly
+from .spin_reps import PAPER_LITERAL, SpinGroup, circle_weights, lam
 from .steenrod import binom_mod2
 
 WeightMultiset = dict[int, int]
@@ -30,18 +31,6 @@ WeightMultiset = dict[int, int]
 
 class VirtualCharacterError(ValueError):
     """Raised when a genuine-representation operation meets a virtual character."""
-
-
-def weights_from_character(ch: MultiLaurent) -> WeightMultiset:
-    """Read off the signed weight map of a univariate character.
-
-    Weight k has multiplicity equal to the coefficient of z^k, negative
-    where the character is virtual; the multiplicities sum to the
-    (virtual) dimension.
-    """
-    if ch.nvars != 1:
-        raise ValueError("weights are read off univariate characters")
-    return {exps[0]: coeff for exps, coeff in ch.items()}
 
 
 def is_palindromic(weights: WeightMultiset) -> bool:
@@ -131,5 +120,5 @@ def vanishing_on_bso_check(g: SpinGroup, cutoff: int = 32) -> bool:
     the class-level witness that the composite of the circle inclusion with
     Spin(n) -> SO(n) kills reduced mod-2 cohomology.
     """
-    weights = weights_from_character(character_on_T1(g, lam(1), PAPER_LITERAL))
+    weights = circle_weights(g, lam(1), PAPER_LITERAL)
     return total_sw_real(weights, cutoff) == TruncatedPoly.one("F2", cutoff)

@@ -25,7 +25,7 @@ import sys
 from typing import Callable
 
 from . import __version__
-from .char_classes import is_palindromic, mod2, total_chern, total_sw_real, weights_from_character
+from .char_classes import is_palindromic, mod2, total_chern, total_sw_real
 from .exceptional import GROUP_ORDER, verify_all
 from .laurent import TruncatedPoly
 from .spin_reps import (
@@ -37,7 +37,8 @@ from .spin_reps import (
     VECTOR_REP,
     RepSymbol,
     SpinGroup,
-    character_on_T1,
+    circle_weights,
+    format_character,
     lam,
     parse_expr,
     quillen_h,
@@ -167,7 +168,7 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
         raise UsageError(f"the sweep needs {terms} coefficients; the budget is {MAX_SWEEP_TERMS}")
     checks = []
     for m, g, sym, spin_dim, cut in plan:
-        series = total_chern(weights_from_character(character_on_T1(g, sym, convention)), cut, "F2")
+        series = total_chern(circle_weights(g, sym, convention), cut, "F2")
         sparse = {0: 1} if sym.kind == "lambda" else {0: 1, spin_dim: 1}
         expected = TruncatedPoly.from_dict("F2", cut, sparse)
         checks.append({"m": m, "n": g.n, "symbol": str(sym), "computed": str(series),
@@ -238,11 +239,10 @@ def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -
         raise UsageError(f"n must sit inside 6..{MAX_N}, got {n}")
     try:
         expr = parse_expr(expression)
-        ch = character_on_T1(SpinGroup(n), expr, convention)
+        weights = circle_weights(SpinGroup(n), expr, convention)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    weights = weights_from_character(ch)
     pos = {k: a for k, a in weights.items() if a > 0}
     neg = {k: -a for k, a in weights.items() if a < 0}
     moving = sum(abs(a) for k, a in weights.items() if k)
@@ -263,8 +263,8 @@ def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -
         "expression": str(expr),
         "convention": convention,
         "cutoff": cut,
-        "character": str(ch),
-        "dimension": ch.evaluate_at_one(),
+        "character": format_character(weights),
+        "dimension": sum(weights.values()),
         "virtual": virtual,
         "weights": {str(k): pos[k] for k in sorted(pos)},
         "negative_weights": {str(k): neg[k] for k in sorted(neg)},
@@ -442,14 +442,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("restrict", help="restrict an expression to the circle")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("expression", help="e.g. '8 + lambda2 + delta+' or '2*lambda1 + delta-'")
+    p.add_argument("expression", nargs="?",
+                   help="e.g. '8 + lambda2 + delta+' or '2*lambda1 + delta-'; "
+                        "one that starts with '-' goes after '--'")
     add_common(p, PAPER_LITERAL)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "restrict" and args.expression is None:
+        # argparse takes a dash-led expression such as -3*lambda1 for an option
+        if extra and not extra[0].startswith("--"):
+            parser.error("an expression that starts with '-' must follow '--', as in "
+                         f"restrict --n {args.n} -- {extra[0]!r}")
+        parser.error("the following arguments are required: expression")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command == "prop2":
             m_lo, m_hi = _parse_range(args.m, "m")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .char_classes import total_chern, total_sw_real, weights_from_character
+from .char_classes import total_chern, total_sw_real
 from .laurent import TruncatedPoly
 from .spin_reps import (
     DELTA,
@@ -26,8 +26,9 @@ from .spin_reps import (
     VECTOR_REP,
     RepExpr,
     SpinGroup,
-    character_on_T1,
+    circle_weights,
     dimension,
+    format_character,
     lam,
     quillen_h,
     triv,
@@ -226,8 +227,7 @@ def verify_case(
             f"cutoff {cutoff} cannot see the top class at u^{max_u} for {case.group}"
         )
 
-    ch = character_on_T1(case.spin_group, case.restriction, convention)
-    weights = weights_from_character(ch)
+    weights = circle_weights(case.spin_group, case.restriction, convention)
     chern_f2 = total_chern(weights, cutoff, "F2")
     series = chern_f2 if case.class_kind == CHERN_KIND else total_sw_real(weights, cutoff)
     top_coeff = series.coefficient(top_u)
@@ -271,7 +271,7 @@ def verify_case(
         class_kind=case.class_kind,
         convention=convention,
         cutoff=cutoff,
-        character=str(ch),
+        character=format_character(weights),
         target=case.target,
         total_class=series.sparse(),
         total_class_str=str(series),

@@ -9,8 +9,10 @@ z_1^{e_1} ... z_m^{e_m} over sign vectors e in {+1, -1}^m.  This package
 takes characteristic classes of the further restriction to the first circle
 factor (all z_j = 1 except z_1), read off the paper's closed forms:
 lambda_i becomes alpha_i + beta_i (z^2 + z^-2) and each (half-)spinor equal
-numbers of z and z^-1.  Only :func:`character_on_Tm`, the brute-force
-oracle of the tests, expands the T^m characters.
+numbers of z and z^-1.  A circle character is held as its signed weight map
+``{k: a_k}``, the multiplicity a_k of z^k, negative where the character is
+virtual; :func:`format_character` prints it.  The T^m characters are never
+expanded.
 
 Two conventions are supported for lambda_i when n is odd.  Under
 ``paper-literal`` the character is exactly the elementary symmetric function
@@ -27,7 +29,6 @@ import re
 from dataclasses import dataclass, field
 from math import comb
 
-from .laurent import MultiLaurent, elementary_symmetric
 
 PAPER_LITERAL = "paper-literal"
 VECTOR_REP = "vector-rep"
@@ -195,20 +196,18 @@ def parse_expr(text: str) -> RepExpr:
     return RepExpr.from_dict(terms)
 
 
-def _check_symbol(g: SpinGroup, sym: RepSymbol, allow_extended: bool = False) -> None:
+def _check_symbol(g: SpinGroup, sym: RepSymbol) -> None:
     if sym.kind == "triv":
         return
     if sym.kind == "delta" and g.is_even:
         raise ValueError(f"delta is only defined for odd n (got {g})")
     if sym.kind in ("delta+", "delta-") and not g.is_even:
         raise ValueError(f"{sym.kind} is only defined for even n (got {g})")
-    if sym.kind == "lambda":
-        top = g.m if allow_extended else g.max_lambda_index()
-        if not 1 <= sym.index <= top:
-            raise ValueError(
-                f"lambda{sym.index} is outside the presentation range "
-                f"1..{g.max_lambda_index()} for {g}"
-            )
+    if sym.kind == "lambda" and not 1 <= sym.index <= g.max_lambda_index():
+        raise ValueError(
+            f"lambda{sym.index} is outside the presentation range "
+            f"1..{g.max_lambda_index()} for {g}"
+        )
 
 
 def _check_convention(convention: str) -> None:
@@ -216,47 +215,14 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"unknown convention {convention!r}; use one of {CONVENTIONS}")
 
 
-def character_on_Tm(
-    g: SpinGroup,
-    sym: RepSymbol,
-    convention: str = PAPER_LITERAL,
-    allow_extended: bool = False,
-) -> MultiLaurent:
-    """The full T^m character of one symbol (up to 3^m terms): the brute-force
-    oracle the tests compare the closed forms of :func:`character_on_T1` against."""
-    _check_convention(convention)
-    _check_symbol(g, sym, allow_extended)
-    m = g.m
-    if sym.kind == "triv":
-        return MultiLaurent.constant(m, sym.index)
-    if sym.kind == "lambda":
-        args = [
-            MultiLaurent.variable(m, j, 2) + MultiLaurent.variable(m, j, -2)
-            for j in range(m)
-        ]
-        if convention == VECTOR_REP and not g.is_even:
-            args.append(MultiLaurent.constant(m, 1))
-        return elementary_symmetric(args, sym.index)
-    # (half-)spin characters: one monomial per sign vector
-    want = {"delta+": (0,), "delta-": (1,), "delta": (0, 1)}[sym.kind]
-    terms: dict[tuple[int, ...], int] = {}
-    for bits in range(1 << m):
-        if bin(bits).count("1") % 2 not in want:
-            continue
-        exps = tuple(-1 if bits >> j & 1 else 1 for j in range(m))
-        terms[exps] = terms.get(exps, 0) + 1
-    return MultiLaurent(m, terms)
-
-
-def character_on_T1(
-    g: SpinGroup,
-    expr: RepExpr | RepSymbol,
-    convention: str = PAPER_LITERAL,
-    allow_extended: bool = False,
-) -> MultiLaurent:
+def circle_weights(
+    g: SpinGroup, expr: RepExpr | RepSymbol, convention: str = PAPER_LITERAL
+) -> dict[int, int]:
     """Restrict a symbol or expression to the first circle factor of T^m.
 
-    Read off the closed forms, additively in the expression: triv:k is k;
+    The result is the signed weight map ``{k: a_k}`` of the circle
+    character, zero multiplicities dropped.  Read off the closed forms,
+    additively in the expression: triv:k is k copies of weight 0;
     lambda_i is alpha_i + beta_i (z^2 + z^-2) from
     :func:`closed_form_f1_lambda`, plus the same for lambda_{i-1} under
     ``vector-rep`` at odd n, because e_i(x, 1) = e_i(x) + e_{i-1}(x); Delta
@@ -265,25 +231,47 @@ def character_on_T1(
     _check_convention(convention)
     if isinstance(expr, RepSymbol):
         expr = RepExpr.single(expr)
-    terms: list[tuple[tuple[int], int]] = []
+    out: dict[int, int] = {}
     for sym, mult in expr.terms:
-        _check_symbol(g, sym, allow_extended)
+        _check_symbol(g, sym)
         if sym.kind == "triv":
             weights = {0: sym.index}
         elif sym.kind == "lambda":
-            alpha, beta = closed_form_f1_lambda(g, sym.index, allow_extended)
+            alpha, beta = closed_form_f1_lambda(g, sym.index)
             if convention == VECTOR_REP and not g.is_even:
-                alpha0, beta0 = closed_form_f1_lambda(g, sym.index - 1, allow_extended)
+                alpha0, beta0 = closed_form_f1_lambda(g, sym.index - 1)
                 alpha, beta = alpha + alpha0, beta + beta0
             weights = {0: alpha, 2: beta, -2: beta}
         else:
             half = 2 ** (g.m - 1 if sym.kind == "delta" else g.m - 2)
             weights = {1: half, -1: half}
-        terms.extend(((k,), mult * c) for k, c in weights.items())
-    return MultiLaurent(1, terms)
+        for k, c in weights.items():
+            out[k] = out.get(k, 0) + mult * c
+    return {k: a for k, a in out.items() if a}
 
 
-def closed_form_f1_lambda(g: SpinGroup, i: int, allow_extended: bool = False) -> tuple[int, int]:
+def format_character(weights: dict[int, int]) -> str:
+    """The circle character of a signed weight map as a Laurent polynomial
+    in z1, highest power first; ``"0"`` for the empty map.
+
+    >>> format_character({-1: 8, 1: 8})
+    '8*z1 + 8*z1^-1'
+    """
+    parts: list[str] = []
+    for k in sorted(weights, reverse=True):
+        a = weights[k]
+        if not a:
+            continue
+        var = "" if k == 0 else ("z1" if k == 1 else f"z1^{k}")
+        body = str(abs(a)) if not var else (var if abs(a) == 1 else f"{abs(a)}*{var}")
+        if parts:
+            parts.append(f"+ {body}" if a > 0 else f"- {body}")
+        else:
+            parts.append(body if a > 0 else f"-{body}")
+    return " ".join(parts) if parts else "0"
+
+
+def closed_form_f1_lambda(g: SpinGroup, i: int) -> tuple[int, int]:
     """Coefficients (alpha_i, beta_i) with f1*(lambda_i) = alpha_i + beta_i (z^2 + z^-2).
 
     Under the paper-literal convention every argument z_j^2 + z_j^{-2} with
@@ -293,14 +281,14 @@ def closed_form_f1_lambda(g: SpinGroup, i: int, allow_extended: bool = False) ->
     """
     if i == 0:
         return (1, 0)
-    _check_symbol(g, lam(i), allow_extended)
+    _check_symbol(g, lam(i))
     m = g.m
     return (2**i * comb(m - 1, i), 2 ** (i - 1) * comb(m - 1, i - 1))
 
 
 def dimension(g: SpinGroup, expr: RepExpr | RepSymbol, convention: str = PAPER_LITERAL) -> int:
     """Virtual dimension: the circle character evaluated at z = 1."""
-    return character_on_T1(g, expr, convention).evaluate_at_one()
+    return sum(circle_weights(g, expr, convention).values())
 
 
 def spinor_type(n: int) -> str:

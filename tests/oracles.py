@@ -1,0 +1,338 @@
+"""Brute-force algebra that the tests check the library against.
+
+None of this is used by the package.  :class:`MultiLaurent` holds Laurent
+polynomials in several variables over Z, :func:`elementary_symmetric` builds
+symmetric functions of them, and :func:`character_on_Tm` expands the full
+maximal-torus character of a representation-ring symbol (up to 3^m terms),
+which :func:`circle_oracle` collapses to the first circle factor.  The
+``series_*`` functions are the truncated-series operations the library no
+longer needs: powers, inversion and truncation of a ``TruncatedPoly``.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping
+
+from spinchern.laurent import TruncatedPoly
+from spinchern.spin_reps import CONVENTIONS, PAPER_LITERAL, VECTOR_REP, RepSymbol, SpinGroup
+
+ExponentVector = tuple[int, ...]
+
+
+class MultiLaurent:
+    """A Laurent polynomial in ``nvars`` variables over Z.
+
+    Terms map exponent tuples (one signed integer per variable) to nonzero
+    integer coefficients.  Zero coefficients are pruned on construction, so
+    the term map is a canonical form and ``==`` is exact polynomial equality.
+    Values are immutable; all operations return new polynomials.
+
+    >>> z = MultiLaurent.variable(1, 0)
+    >>> str((z + z**-1) * (z - z**-1))
+    'z1^2 - z1^-2'
+    """
+
+    __slots__ = ("nvars", "_terms")
+
+    def __init__(
+        self,
+        nvars: int,
+        terms: Mapping[ExponentVector, int] | Iterable[tuple[ExponentVector, int]] = (),
+    ):
+        if nvars < 1:
+            raise ValueError("a Laurent polynomial needs at least one variable")
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        clean: dict[ExponentVector, int] = {}
+        for exps, coeff in items:
+            key = tuple(exps)
+            if len(key) != nvars:
+                raise ValueError(
+                    f"exponent vector {key} has length {len(key)}, expected {nvars}"
+                )
+            c = clean.get(key, 0) + coeff
+            if c:
+                clean[key] = c
+            else:
+                clean.pop(key, None)
+        self.nvars = nvars
+        self._terms = clean
+
+    # ---- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls, nvars: int) -> MultiLaurent:
+        return cls(nvars)
+
+    @classmethod
+    def constant(cls, nvars: int, value: int) -> MultiLaurent:
+        return cls(nvars, {(0,) * nvars: value})
+
+    @classmethod
+    def variable(cls, nvars: int, index: int, power: int = 1) -> MultiLaurent:
+        """The monomial z_{index+1}^power (indices count from 0)."""
+        if not 0 <= index < nvars:
+            raise ValueError(f"variable index {index} out of range for {nvars} variables")
+        exps = [0] * nvars
+        exps[index] = power
+        return cls(nvars, {tuple(exps): 1})
+
+    # ---- inspection ----------------------------------------------------
+
+    def items(self) -> list[tuple[ExponentVector, int]]:
+        """Terms in descending lexicographic order of exponent vectors."""
+        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+
+    def coefficient(self, exps: Iterable[int]) -> int:
+        return self._terms.get(tuple(exps), 0)
+
+    def term_count(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            other = MultiLaurent.constant(self.nvars, other)
+        if not isinstance(other, MultiLaurent):
+            return NotImplemented
+        return self.nvars == other.nvars and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, frozenset(self._terms.items())))
+
+    # ---- ring operations ----------------------------------------------
+
+    def _coerce(self, other: int | MultiLaurent) -> MultiLaurent:
+        if isinstance(other, int):
+            return MultiLaurent.constant(self.nvars, other)
+        if isinstance(other, MultiLaurent):
+            if other.nvars != self.nvars:
+                raise ValueError(
+                    f"variable count mismatch: {self.nvars} vs {other.nvars}"
+                )
+            return other
+        raise TypeError(f"cannot combine MultiLaurent with {type(other).__name__}")
+
+    def _with_terms(self, terms: dict[ExponentVector, int]) -> MultiLaurent:
+        result = MultiLaurent.__new__(MultiLaurent)
+        result.nvars = self.nvars
+        result._terms = terms
+        return result
+
+    def __add__(self, other: int | MultiLaurent) -> MultiLaurent:
+        other = self._coerce(other)
+        out = dict(self._terms)
+        for exps, c in other._terms.items():
+            s = out.get(exps, 0) + c
+            if s:
+                out[exps] = s
+            else:
+                del out[exps]
+        return self._with_terms(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> MultiLaurent:
+        return self._with_terms({e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other: int | MultiLaurent) -> MultiLaurent:
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other: int | MultiLaurent) -> MultiLaurent:
+        return (-self) + other
+
+    def __mul__(self, other: int | MultiLaurent) -> MultiLaurent:
+        if isinstance(other, int):
+            return self._with_terms(
+                {e: c * other for e, c in self._terms.items()} if other else {}
+            )
+        other = self._coerce(other)
+        out: dict[ExponentVector, int] = {}
+        # iterate the smaller operand outside for fewer tuple allocations
+        a, b = (self._terms, other._terms)
+        if len(a) > len(b):
+            a, b = b, a
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                s = out.get(key, 0) + ca * cb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return self._with_terms(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> MultiLaurent:
+        if k < 0:
+            if len(self._terms) != 1 or abs(next(iter(self._terms.values()))) != 1:
+                raise ValueError("negative powers are only defined for unit monomials")
+            (exps, coeff), = self._terms.items()
+            return MultiLaurent(self.nvars, {tuple(-e for e in exps): coeff}) ** (-k)
+        result = MultiLaurent.constant(self.nvars, 1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    # ---- specializations ------------------------------------------------
+
+    def substitute_ones(self, keep_index: int = 0) -> MultiLaurent:
+        """Set every variable except ``keep_index`` to 1; result has one variable."""
+        if not 0 <= keep_index < self.nvars:
+            raise ValueError(
+                f"keep_index {keep_index} out of range for {self.nvars} variables"
+            )
+        return MultiLaurent(1, [((e[keep_index],), c) for e, c in self._terms.items()])
+
+    def evaluate_at_one(self) -> int:
+        """Sum of all coefficients (the value at z1 = ... = zm = 1)."""
+        return sum(self._terms.values())
+
+    # ---- formatting ------------------------------------------------------
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        parts: list[str] = []
+        for exps, coeff in self.items():
+            vars_part = "*".join(
+                f"z{i+1}" if e == 1 else f"z{i+1}^{e}"
+                for i, e in enumerate(exps)
+                if e
+            )
+            mag = abs(coeff)
+            if vars_part:
+                body = vars_part if mag == 1 else f"{mag}*{vars_part}"
+            else:
+                body = str(mag)
+            if not parts:
+                parts.append(body if coeff > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"MultiLaurent({self.nvars}, '{self}')"
+
+
+def elementary_symmetric(values: list[MultiLaurent], i: int) -> MultiLaurent:
+    """The i-th elementary symmetric function of the given polynomials.
+
+    e_0 = 1 and e_i = 0 for i beyond the list length (empty sum).  All
+    values must share a variable count.
+    """
+    if i < 0:
+        raise ValueError(f"elementary symmetric index must be nonnegative, got {i}")
+    if not values:
+        raise ValueError("need at least one value to fix the variable count")
+    nvars = values[0].nvars
+    for v in values:
+        if v.nvars != nvars:
+            raise ValueError("all values must share a variable count")
+    if i > len(values):
+        return MultiLaurent.zero(nvars)
+    # e[j] after processing k values is e_j(values[:k])
+    e = [MultiLaurent.constant(nvars, 1)] + [MultiLaurent.zero(nvars)] * i
+    for v in values:
+        for j in range(i, 0, -1):
+            e[j] = e[j] + e[j - 1] * v
+    return e[i]
+
+
+# ---- torus characters ---------------------------------------------------------
+
+
+def character_on_Tm(
+    g: SpinGroup, sym: RepSymbol, convention: str = PAPER_LITERAL
+) -> MultiLaurent:
+    """The full T^m character of one symbol, by brute-force expansion.
+
+    lambda_i is the i-th elementary symmetric function of the
+    z_j^2 + z_j^-2 (with a constant 1 among the arguments under
+    ``vector-rep`` at odd n); a (half-)spinor has one monomial per sign
+    vector, Delta+ those with an even number of minus signs and Delta- the
+    rest.  The range checks are this oracle's own.
+    """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    m = g.m
+    if sym.kind == "triv":
+        return MultiLaurent.constant(m, sym.index)
+    if sym.kind == "lambda":
+        top = m - 2 if g.is_even else m - 1
+        if not 1 <= sym.index <= top:
+            raise ValueError(f"lambda{sym.index} is outside 1..{top} for {g}")
+        args = [
+            MultiLaurent.variable(m, j, 2) + MultiLaurent.variable(m, j, -2)
+            for j in range(m)
+        ]
+        if convention == VECTOR_REP and not g.is_even:
+            args.append(MultiLaurent.constant(m, 1))
+        return elementary_symmetric(args, sym.index)
+    if (sym.kind == "delta") == g.is_even:
+        raise ValueError(f"{sym.kind} is not a generator for {g}")
+    want = {"delta+": (0,), "delta-": (1,), "delta": (0, 1)}[sym.kind]
+    terms = []
+    for bits in range(1 << m):
+        if bin(bits).count("1") % 2 in want:
+            terms.append((tuple(-1 if bits >> j & 1 else 1 for j in range(m)), 1))
+    return MultiLaurent(m, terms)
+
+
+def weight_map(ch: MultiLaurent) -> dict[int, int]:
+    """The signed weight map ``{k: a_k}`` of a one-variable character."""
+    assert ch.nvars == 1
+    return {e[0]: c for e, c in ch.items()}
+
+
+def circle_oracle(
+    g: SpinGroup, sym: RepSymbol, convention: str = PAPER_LITERAL
+) -> dict[int, int]:
+    """The weight map of ``sym`` on the first circle factor, from the T^m
+    expansion with every other variable set to 1."""
+    return weight_map(character_on_Tm(g, sym, convention).substitute_ones(0))
+
+
+# ---- truncated series -----------------------------------------------------------
+
+
+def series_pow(p: TruncatedPoly, k: int) -> TruncatedPoly:
+    """p^k for k >= 0, by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative powers go through series_inverse")
+    result = TruncatedPoly.one(p.ring, p.cutoff)
+    while k:
+        if k & 1:
+            result = result * p
+        p = p * p if k > 1 else p
+        k >>= 1
+    return result
+
+
+def series_inverse(p: TruncatedPoly) -> TruncatedPoly:
+    """The multiplicative inverse of p as a truncated series.
+
+    The constant term must be a unit: +-1 over Z, 1 over F2.
+    """
+    c0 = p.coeffs[0]
+    if c0 not in ((1, -1) if p.ring == "Z" else (1,)):
+        raise ValueError(f"constant term {c0} is not a unit over {p.ring}")
+    out = [c0] + [0] * p.cutoff  # +-1 is its own inverse
+    for k in range(1, p.cutoff + 1):
+        out[k] = -c0 * sum(p.coeffs[j] * out[k - j] for j in range(1, k + 1))
+        if p.ring == "F2":
+            out[k] &= 1
+    return TruncatedPoly(p.ring, p.cutoff, out)
+
+
+def truncate(p: TruncatedPoly, cutoff: int) -> TruncatedPoly:
+    """p with every power above u^cutoff dropped; the cutoff cannot grow."""
+    if cutoff > p.cutoff:
+        raise ValueError("cannot extend a truncated polynomial")
+    return TruncatedPoly(p.ring, cutoff, p.coeffs[: cutoff + 1])

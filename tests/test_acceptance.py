@@ -14,8 +14,8 @@ from spinchern.char_classes import (
     total_chern,
     total_sw_real,
     vanishing_on_bso_check,
-    weights_from_character,
 )
+from oracles import circle_oracle
 from spinchern.cli import run_prop2
 from spinchern.exceptional import (
     DECOMPOSABLE,
@@ -24,7 +24,7 @@ from spinchern.exceptional import (
     dimension_audit,
     verify_case,
 )
-from spinchern.laurent import MultiLaurent, TruncatedPoly
+from spinchern.laurent import TruncatedPoly
 from spinchern.spin_reps import (
     DELTA,
     DELTA_MINUS,
@@ -32,8 +32,7 @@ from spinchern.spin_reps import (
     PAPER_LITERAL,
     VECTOR_REP,
     SpinGroup,
-    character_on_T1,
-    character_on_Tm,
+    circle_weights,
     closed_form_f1_lambda,
     dimension,
     lam,
@@ -46,10 +45,6 @@ from spinchern.steenrod import (
     j_ideal_generators,
     sq,
 )
-
-
-def z(power: int = 1) -> MultiLaurent:
-    return MultiLaurent.variable(1, 0, power)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -78,8 +73,9 @@ def test_criterion_02_closed_form_vs_brute_force():
             alpha, beta = closed_form_f1_lambda(g, i)
             assert alpha == 2**i * comb(m - 1, i)
             assert beta == 2 ** (i - 1) * comb(m - 1, i - 1)
-            brute = character_on_Tm(g, lam(i)).substitute_ones(0)
-            assert brute == alpha + beta * (z(2) + z(-2)), (m, i)
+            brute = circle_oracle(g, lam(i))
+            assert brute == {0: alpha, 2: beta, -2: beta}, (m, i)
+            assert circle_weights(g, lam(i)) == brute, (m, i)
             checked += 1
     _report(2, True, f"closed form alpha/beta vs brute force, {checked} (m, i) pairs")
 
@@ -95,9 +91,7 @@ def test_criterion_03_integral_chern_shapes():
             (geven, DELTA_MINUS, 2 ** (m - 2)),
             (godd, DELTA, 2 ** (m - 1)),
         ):
-            got = total_chern(
-                weights_from_character(character_on_T1(g, sym)), cutoff
-            )
+            got = total_chern(circle_weights(g, sym), cutoff)
             expected = TruncatedPoly.from_dict(
                 "Z",
                 cutoff,
@@ -108,9 +102,7 @@ def test_criterion_03_integral_chern_shapes():
         # exterior powers: (1 - 4u^2)^{beta_i}
         for i in range(1, m):
             _, beta = closed_form_f1_lambda(godd, i)
-            got = total_chern(
-                weights_from_character(character_on_T1(godd, lam(i))), cutoff
-            )
+            got = total_chern(circle_weights(godd, lam(i)), cutoff)
             expected = TruncatedPoly.from_dict(
                 "Z",
                 cutoff,
@@ -210,23 +202,22 @@ def test_criterion_06_steenrod_suite():
 def test_criterion_07_c_equals_w_squared():
     rng = random.Random(43)
     for _ in range(200):
-        terms: dict[tuple[int, ...], int] = {}
+        w: dict[int, int] = {}
         budget = 40
         a0 = rng.randint(0, 6)
         if a0:
-            terms[(0,)] = a0
+            w[0] = a0
             budget -= a0
         for k in rng.sample(range(1, 6), rng.randint(0, 4)):
             a = rng.randint(1, 4)
             if budget - 2 * a < 0:
                 break
-            terms[(k,)] = a
-            terms[(-k,)] = a
+            w[k] = a
+            w[-k] = a
             budget -= 2 * a
-        w = weights_from_character(MultiLaurent(1, terms))
         sw = total_sw_real(w, 64)
         chern = mod2(total_chern(w, 64))
-        assert sw * sw == chern, terms
+        assert sw * sw == chern, w
     _report(7, True, "(total SW)^2 == mod-2 total Chern for 200 random characters")
 
 
@@ -273,6 +264,6 @@ def test_mod2_routes_agree_where_feasible():
         for n in (2 * m, 2 * m + 1):
             g = SpinGroup(n)
             sym = DELTA_PLUS if g.is_even else DELTA
-            w = weights_from_character(character_on_T1(g, sym))
+            w = circle_weights(g, sym)
             cutoff = 2 ** (m + 1)
             assert total_chern(w, cutoff, "F2") == mod2(total_chern(w, cutoff))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -110,6 +113,28 @@ def test_restrict_lambda_class_is_one(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["total_chern_mod2"] == "1"
+
+
+def test_restrict_zero_characters(capsys):
+    for expression in ("lambda1 - lambda1", "triv:0"):
+        code, out = run_cli(capsys, "restrict", "--n", "12", expression, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["character"] == "0" and report["dimension"] == 0, expression
+        assert report["weights"] == {} and report["negative_weights"] == {}, expression
+        assert report["total_chern"] == {"0": 1} and not report["virtual"], expression
+
+
+def test_restrict_dash_expression_must_follow_double_dash(capsys):
+    # argparse takes a dash-led expression for an option; the error says so
+    with pytest.raises(SystemExit) as exc:
+        main(["restrict", "--n", "12", "-3*lambda1"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "must follow '--'" in errors[0], errors
+    code, out = run_cli(capsys, "restrict", "--n", "12", "--", "-3*lambda1")
+    assert code == 0
+    assert "character: -3*z1^2 - 30 - 3*z1^-2\n" in out
 
 
 def test_restrict_bad_expression(capsys):
@@ -222,13 +247,29 @@ def test_chern_bounds_cover_the_computed_series(weights, cutoff):
     assert widest <= bits
 
 
-def test_cli_never_expands_full_torus_characters(monkeypatch, capsys):
-    # circle characters come from the closed forms; the T^m expansion is the
-    # tests' oracle only, and at m = 16 it would not fit in memory
-    def refuse(*args, **kwargs):
-        raise AssertionError("character_on_Tm called from the CLI")
+ORACLE_NAMES = {"MultiLaurent", "character_on_Tm", "elementary_symmetric", "oracles"}
 
-    monkeypatch.setattr("spinchern.spin_reps.character_on_Tm", refuse)
+
+def test_cli_never_expands_full_torus_characters(capsys):
+    # circle characters come from the closed forms; the T^m expansion and its
+    # Laurent algebra live in tests/oracles.py only (at m = 16 the expansion
+    # would not fit in memory), so no package module defines or imports them
+    modules = [spinchern] + [
+        importlib.import_module(f"spinchern.{info.name}")
+        for info in pkgutil.iter_modules(spinchern.__path__)
+    ]
+    for module in modules:
+        assert not ORACLE_NAMES & vars(module).keys(), module.__name__
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                bound = {node.module or ""} | {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                bound = {alias.name for alias in node.names}
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                bound = {node.name}
+            else:
+                continue
+            assert not ORACLE_NAMES & bound, (module.__name__, bound)
     code, out = run_cli(capsys, "prop2", "--m", "16..16")
     assert code == 0
     assert "32/32 identities hold" in out

@@ -1,4 +1,4 @@
-"""Tests for exact Laurent polynomial and truncated series arithmetic."""
+"""Tests for truncated series arithmetic and for the Laurent polynomial oracle."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import MultiLaurent, elementary_symmetric, series_inverse, series_pow, truncate
 from spinchern.char_classes import mod2
-from spinchern.laurent import MultiLaurent, TruncatedPoly, elementary_symmetric
+from spinchern.laurent import TruncatedPoly
 
 
 def z(power: int = 1) -> MultiLaurent:
@@ -261,7 +262,7 @@ def test_evaluate_at_one_is_ring_homomorphism(triple):
 
 def test_trunc_pow_binomial():
     p = TruncatedPoly("Z", 16, [1, 0, -1])  # 1 - u^2
-    result = p**8
+    result = series_pow(p, 8)
     expected = TruncatedPoly.from_dict(
         "Z", 16, {2 * k: (-1) ** k * math.comb(8, k) for k in range(9)}
     )
@@ -270,7 +271,7 @@ def test_trunc_pow_binomial():
 
 def test_trunc_inverse_geometric_mod2():
     p = TruncatedPoly("F2", 4, [1, 1])  # 1 + u
-    assert p.inverse() == TruncatedPoly("F2", 4, [1, 1, 1, 1, 1])
+    assert series_inverse(p) == TruncatedPoly("F2", 4, [1, 1, 1, 1, 1])
 
 
 def test_trunc_mul_identity():
@@ -280,16 +281,16 @@ def test_trunc_mul_identity():
 
 def test_trunc_inverse_round_trip():
     p = TruncatedPoly("Z", 12, [1, 5, -3, 7])
-    assert p * p.inverse() == TruncatedPoly.one("Z", 12)
+    assert p * series_inverse(p) == TruncatedPoly.one("Z", 12)
     q = TruncatedPoly("Z", 12, [-1, 4, 9])
-    assert q * q.inverse() == TruncatedPoly.one("Z", 12)
+    assert q * series_inverse(q) == TruncatedPoly.one("Z", 12)
 
 
 def test_trunc_inverse_requires_unit():
     with pytest.raises(ValueError):
-        TruncatedPoly("Z", 4, [2, 1]).inverse()
+        series_inverse(TruncatedPoly("Z", 4, [2, 1]))
     with pytest.raises(ValueError):
-        TruncatedPoly("F2", 4, [0, 1]).inverse()
+        series_inverse(TruncatedPoly("F2", 4, [0, 1]))
 
 
 def test_trunc_mismatch_errors():
@@ -306,7 +307,7 @@ def test_f2_reduces_coefficients():
 
 
 def test_mod2_of_integral_series():
-    p = TruncatedPoly("Z", 16, [1, 0, -1]) ** 8
+    p = series_pow(TruncatedPoly("Z", 16, [1, 0, -1]), 8)
     assert mod2(p) == TruncatedPoly.from_dict("F2", 16, {0: 1, 16: 1})
 
 
@@ -331,8 +332,8 @@ def test_truncation_coherence(pair):
     # computing at cutoff N then truncating to N' equals computing at N'
     a, b = pair
     smaller = max(0, a.cutoff - 2)
-    direct = a.truncate(smaller) * b.truncate(smaller)
-    assert (a * b).truncate(smaller) == direct
+    direct = truncate(a, smaller) * truncate(b, smaller)
+    assert truncate(a * b, smaller) == direct
 
 
 @given(trunc_pairs(), st.integers(0, 5))
@@ -341,7 +342,7 @@ def test_trunc_pow_matches_repeated_mul(pair, k):
     expected = TruncatedPoly.one(a.ring, a.cutoff)
     for _ in range(k):
         expected = expected * a
-    assert a**k == expected
+    assert series_pow(a, k) == expected
 
 
 def test_large_dense_product_matches_naive_convolution():

@@ -5,9 +5,11 @@ from __future__ import annotations
 from math import comb
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from spinchern.char_classes import is_palindromic, weights_from_character
-from spinchern.laurent import MultiLaurent
+from oracles import MultiLaurent, character_on_Tm, circle_oracle, weight_map
+from spinchern.char_classes import is_palindromic
 from spinchern.spin_reps import (
     DELTA,
     DELTA_MINUS,
@@ -16,10 +18,10 @@ from spinchern.spin_reps import (
     VECTOR_REP,
     RepExpr,
     SpinGroup,
-    character_on_T1,
-    character_on_Tm,
+    circle_weights,
     closed_form_f1_lambda,
     dimension,
+    format_character,
     lam,
     parse_expr,
     quillen_h,
@@ -28,8 +30,9 @@ from spinchern.spin_reps import (
 )
 
 
-def z(power: int = 1) -> MultiLaurent:
-    return MultiLaurent.variable(1, 0, power)
+def spinor(mult: int) -> dict[int, int]:
+    """The weight map of mult (z + z^-1)."""
+    return {1: mult, -1: mult}
 
 
 # ---- group bookkeeping ------------------------------------------------------
@@ -47,16 +50,17 @@ def test_m_and_parity():
 
 def test_symbol_validity():
     g10, g9 = SpinGroup(10), SpinGroup(9)
-    with pytest.raises(ValueError):
-        character_on_Tm(g10, DELTA)  # delta needs odd n
-    with pytest.raises(ValueError):
-        character_on_Tm(g9, DELTA_PLUS)  # half-spins need even n
-    with pytest.raises(ValueError):
-        character_on_Tm(g10, lam(4))  # above m - 2 = 3
-    with pytest.raises(ValueError):
-        character_on_Tm(g9, lam(4))  # above m - 1 = 3
-    # the extended flag relaxes the presentation range up to m
-    assert character_on_Tm(g10, lam(5), allow_extended=True)
+    for g, sym in (
+        (g10, DELTA),  # delta needs odd n
+        (g9, DELTA_PLUS),  # half-spins need even n
+        (g10, lam(4)),  # above m - 2 = 3
+        (g9, lam(4)),  # above m - 1 = 3
+        (g10, lam(5)),  # lambda_m is outside the presentation too
+    ):
+        with pytest.raises(ValueError):
+            circle_weights(g, sym)
+        with pytest.raises(ValueError):
+            character_on_Tm(g, sym)
 
 
 # ---- characters on T^m ---------------------------------------------------------
@@ -80,8 +84,9 @@ def test_spin_character_term_signs():
 
 
 def test_delta_character_on_T1():
-    ch = character_on_T1(SpinGroup(9), DELTA)
-    assert ch == 8 * (z() + z(-1))
+    w = circle_weights(SpinGroup(9), DELTA)
+    assert w == spinor(8)
+    assert format_character(w) == "8*z1 + 8*z1^-1"
 
 
 def test_lambda1_character_is_weight_sum():
@@ -104,18 +109,18 @@ def test_half_spin_f1_closed_form():
     # f1* of either half-spin representation is 2^{m-2}(z + z^-1)
     for n in (10, 12, 16):
         g = SpinGroup(n)
-        expected = 2 ** (g.m - 2) * (z() + z(-1))
-        assert character_on_T1(g, DELTA_PLUS) == expected
-        assert character_on_T1(g, DELTA_MINUS) == expected
+        expected = spinor(2 ** (g.m - 2))
+        assert circle_weights(g, DELTA_PLUS) == expected
+        assert circle_weights(g, DELTA_MINUS) == expected
 
 
 def test_spin_f1_closed_form_range():
     for m in range(3, 13):
         g = SpinGroup(2 * m + 1)
-        assert character_on_T1(g, DELTA) == 2 ** (m - 1) * (z() + z(-1))
+        assert circle_weights(g, DELTA) == spinor(2 ** (m - 1))
         ge = SpinGroup(2 * m)
-        assert character_on_T1(ge, DELTA_PLUS) == 2 ** (m - 2) * (z() + z(-1))
-        assert character_on_T1(ge, DELTA_MINUS) == 2 ** (m - 2) * (z() + z(-1))
+        assert circle_weights(ge, DELTA_PLUS) == spinor(2 ** (m - 2))
+        assert circle_weights(ge, DELTA_MINUS) == spinor(2 ** (m - 2))
 
 
 def test_f1_characters_palindromic():
@@ -124,19 +129,24 @@ def test_f1_characters_palindromic():
         symbols = [lam(1)]
         symbols.append(DELTA if not g.is_even else DELTA_PLUS)
         for sym in symbols:
-            assert is_palindromic(weights_from_character(character_on_T1(g, sym)))
+            assert is_palindromic(circle_weights(g, sym))
 
 
 def test_expression_restriction_f4():
     g = SpinGroup(9)
     expr = RepExpr.from_dict({triv(1): 1, lam(1): 1, DELTA: 1})
-    ch = character_on_T1(g, expr)
+    w = circle_weights(g, expr)
     # frozen from the brute-force expansion: 1 + (6 + z^2 + z^-2) + 8(z + z^-1)
-    assert ch == 7 + z(2) + z(-2) + 8 * (z() + z(-1))
+    assert w == {0: 7, 2: 1, -2: 1, 1: 8, -1: 8}
+    assert format_character(w) == "z1^2 + 8*z1 + 7 + 8*z1^-1 + z1^-2"
 
 
 def test_empty_expression_restricts_to_zero():
-    assert character_on_T1(SpinGroup(9), RepExpr()) == MultiLaurent.zero(1)
+    assert circle_weights(SpinGroup(9), RepExpr()) == {}
+    g = SpinGroup(12)
+    for text in ("lambda1 - lambda1", "triv:0", "delta+ - delta+", "0"):
+        assert circle_weights(g, parse_expr(text)) == {}, text
+    assert format_character({}) == "0"
 
 
 # ---- closed forms vs brute force ----------------------------------------------------
@@ -162,29 +172,31 @@ def test_closed_form_matches_brute_force_all_ranks():
         g = SpinGroup(2 * m + 1)  # odd groups carry the widest lambda range
         for i in range(1, m):
             alpha, beta = closed_form_f1_lambda(g, i)
-            brute = character_on_Tm(g, lam(i)).substitute_ones(0)
-            assert brute == alpha + beta * (z(2) + z(-2)), (m, i)
+            brute = circle_oracle(g, lam(i))
+            assert brute == {0: alpha, 2: beta, -2: beta}, (m, i)
+            assert circle_weights(g, lam(i)) == brute, (m, i)
             assert alpha + 2 * beta == dimension(g, lam(i))
 
 
 def test_circle_characters_match_torus_oracle():
-    # character_on_T1 reads the closed forms; the oracle expands every symbol
+    # circle_weights reads the closed forms; the oracle expands every symbol
     # on T^m and substitutes, for every symbol kind and both conventions
     for n in range(6, 18):
         g = SpinGroup(n)
         spin = [DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA]
         mix = parse_expr("3 + 2*lambda1 - " + ("delta+" if g.is_even else "delta"))
         for convention in (PAPER_LITERAL, VECTOR_REP):
-            for sym in [lam(i) for i in range(1, g.m + 1)] + spin + [triv(3)]:
-                brute = character_on_Tm(g, sym, convention, allow_extended=True)
-                got = character_on_T1(g, sym, convention, allow_extended=True)
-                assert got == brute.substitute_ones(0), (n, convention, sym)
+            lambdas = [lam(i) for i in range(1, g.max_lambda_index() + 1)]
+            for sym in lambdas + spin + [triv(3)]:
+                got = circle_weights(g, sym, convention)
+                assert got == circle_oracle(g, sym, convention), (n, convention, sym)
             oracle = [
                 (mult, character_on_Tm(g, sym, convention)) for sym, mult in mix.terms
             ]
-            assert character_on_T1(g, mix, convention) == sum(
+            expected = sum(
                 (mult * ch.substitute_ones(0) for mult, ch in oracle), MultiLaurent.zero(1)
-            ), (n, convention)
+            )
+            assert circle_weights(g, mix, convention) == weight_map(expected), (n, convention)
             assert dimension(g, mix, convention) == sum(
                 mult * ch.evaluate_at_one() for mult, ch in oracle
             ), (n, convention)
@@ -212,11 +224,14 @@ def test_conventions_agree_for_even_n():
     assert character_on_Tm(g, lam(1), PAPER_LITERAL) == character_on_Tm(
         g, lam(1), VECTOR_REP
     )
+    assert circle_weights(g, lam(1), PAPER_LITERAL) == circle_weights(g, lam(1), VECTOR_REP)
 
 
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError):
-        character_on_Tm(SpinGroup(9), lam(1), "other")
+        circle_weights(SpinGroup(9), lam(1), "other")
+    with pytest.raises(ValueError):
+        dimension(SpinGroup(9), lam(1), "other")
 
 
 # ---- dimensions of the built-in restrictions ------------------------------------
@@ -318,3 +333,16 @@ def test_parse_expr_rejects_garbage():
 def test_expr_arithmetic():
     e = RepExpr.single(lam(1)) + RepExpr.single(lam(1)) + 3 * RepExpr.single(DELTA)
     assert e.as_dict() == {lam(1): 2, DELTA: 3}
+
+
+# ---- rendering ------------------------------------------------------------------
+
+
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=13))
+@example({})
+@example({0: 0, 2: 0, -5: 0})
+@example({3: 0, 1: -1, 0: 1, -1: 9, -6: -2})
+def test_format_character_matches_oracle(weights):
+    # zero multiplicities and the empty map included
+    oracle = MultiLaurent(1, {(k,): a for k, a in weights.items()})
+    assert format_character(weights) == str(oracle)

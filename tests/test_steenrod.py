@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from spinchern.laurent import MultiLaurent, elementary_symmetric
+from oracles import MultiLaurent, elementary_symmetric
 from spinchern.steenrod import (
     GradedPolyF2,
     binom_mod2,
