@@ -13,6 +13,15 @@ binom(-a, t) = binom(a + t - 1, t) mod 2, which is what makes the excess
 terms cancel (Sq^i w_j = 0 for i > j).  Everything mod 2 goes through
 Lucas' theorem, a bitwise test.
 
+Squares run on packed monomials (Monagan & Pearce's packed exponent
+vectors): one Python int with a fixed-width exponent field per generator,
+so a product of monomials is an integer sum and a square is a doubling.
+Within one application of Sq^i the squares of generator powers are
+memoised, Sq^s(w_j^e) being the square of Sq^{s/2}(w_j^{e/2}) for even e
+and one Wu factor times the even power for odd e, and the Cartan formula
+runs over the distinct generators of each monomial, not over its factors.
+The result is unpacked into sorted tuples.
+
 Setting w_1 = 0 passes to oriented bundles; the ideal (w_1) is stable under
 squares, so dropping w_1-monomials after each application computes the
 quotient action.  The iterated squares of w_2 generate the ideal that cuts
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .spin_reps import quillen_h
 
@@ -37,10 +47,6 @@ def binom_mod2(n: int, k: int) -> int:
         # binom(n, k) = (-1)^k binom(k - n - 1, k)
         n = k - n - 1
     return 1 if (n & k) == k else 0
-
-
-def _merge(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(a + b))
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class GradedPolyF2:
         out: set[Monomial] = set()
         for a in self.terms:
             for b in other.terms:
-                mon = _merge(a, b)
+                mon = tuple(sorted(a + b))
                 if all(idx <= self.n for idx in mon):
                     out ^= {mon}
         return GradedPolyF2(self.n, frozenset(out))
@@ -115,8 +121,8 @@ class GradedPolyF2:
                 rendered.append("1")
                 continue
             factors = []
-            for idx in sorted(set(mon)):
-                e = mon.count(idx)
+            for idx, run in groupby(mon):  # mon is sorted: one run per generator
+                e = len(list(run))
                 factors.append(f"w{idx}" if e == 1 else f"w{idx}^{e}")
             rendered.append("*".join(factors))
         return " + ".join(rendered)
@@ -141,42 +147,79 @@ def sq_on_generator(i: int, j: int, n: int) -> GradedPolyF2:
     return GradedPolyF2(n, frozenset(terms))
 
 
-def _sq_monomial(i: int, mon: Monomial, n: int, drop_w1: bool) -> set[Monomial]:
-    """Cartan convolution of Sq^i over the factors of one monomial.
-
-    States are (spent, partial monomial) with mod-2 multiplicity; branches
-    that can no longer reach a total spend of i are pruned via the suffix
-    degree sum (a factor w_j absorbs at most Sq^j).
-    """
-    suffix = [0] * (len(mon) + 1)
-    for pos in range(len(mon) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + mon[pos]
-    if i > suffix[0]:
-        return set()
-    states: set[tuple[int, Monomial]] = {(0, ())}
-    for pos, j in enumerate(mon):
-        cap = suffix[pos + 1]
-        nxt: set[tuple[int, Monomial]] = set()
-        for spent, partial in states:
-            for s in range(max(0, i - spent - cap), min(j, i - spent) + 1):
-                for gmon in sq_on_generator(s, j, n).terms:
-                    if drop_w1 and 1 in gmon:
-                        continue  # a w_1 factor can never cancel later
-                    nxt ^= {(spent + s, _merge(partial, gmon))}
-        states = nxt
-    return {partial for spent, partial in states if spent == i}
-
-
 def _sq(i: int, p: GradedPolyF2, drop_w1: bool) -> GradedPolyF2:
-    """Sq^i monomial by monomial; Sq^0 = id and negative indices are rejected."""
+    """Sq^i on packed monomials; Sq^0 = id and negative indices are rejected.
+
+    A monomial packs into one int with a ``width``-bit exponent field per
+    generator (w_j's field starts at bit (j - 1) * width).  No exponent
+    exceeds the output degree, so no field overflows: a product is an
+    integer sum and a square is ``2 * m``.
+    """
     if i < 0:
         raise ValueError("Sq index must be nonnegative")
     if i == 0:
         return p
-    out: set[Monomial] = set()
+    n = p.n
+    width = (max(map(sum, p.terms), default=0) + i).bit_length()
+    memo: dict[tuple[int, int, int], set[int]] = {}
+
+    def power(s: int, j: int, e: int) -> set[int]:
+        """Sq^s(w_j^e) as a set of packed monomials (shared: never mutated)."""
+        key = (s, j, e)
+        if key in memo:
+            return memo[key]
+        out: set[int] = set()
+        if s > j * e:
+            pass  # instability: Sq^s x = 0 above the degree of x
+        elif e == 1:
+            for gmon in sq_on_generator(s, j, n).terms:
+                if drop_w1 and 1 in gmon:
+                    continue  # a w_1 factor can never cancel later
+                out.add(sum(1 << (k - 1) * width for k in gmon))
+        elif e % 2 == 0:
+            if s % 2 == 0:  # Sq(x^2) = (Sq x)^2 mod 2
+                out = {2 * m for m in power(s // 2, j, e // 2)}
+        else:  # w_j^e = w_j * w_j^(e-1), by Cartan
+            for t in range(max(0, s - j * (e - 1)), min(j, s) + 1):
+                rest = power(s - t, j, e - 1)
+                for g in power(t, j, 1):
+                    out.symmetric_difference_update({g + m for m in rest})
+        memo[key] = out
+        return out
+
+    out: set[int] = set()
     for mon in p.terms:
-        out ^= _sq_monomial(i, mon, p.n, drop_w1)
-    return GradedPolyF2(p.n, frozenset(out))
+        cap = sum(mon)
+        # Cartan over the distinct generators; states map Sq degree spent so
+        # far to partial products, pruned when the rest cannot absorb i
+        states: dict[int, set[int]] = {0: {0}}
+        for j, run in groupby(mon):
+            e = len(list(run))
+            cap -= j * e
+            nxt: dict[int, set[int]] = {}
+            for spent, partials in states.items():
+                for s in range(max(0, i - spent - cap), min(j * e, i - spent) + 1):
+                    pieces = power(s, j, e)
+                    if pieces:
+                        acc = nxt.setdefault(spent + s, set())
+                        for g in pieces:
+                            acc.symmetric_difference_update({g + m for m in partials})
+            states = nxt
+        out.symmetric_difference_update(states.get(i, ()))
+
+    mask = (1 << width) - 1
+
+    def unpack(m: int) -> Monomial:
+        mon: Monomial = ()
+        j = 1
+        while m:
+            if m & mask:
+                mon += (j,) * (m & mask)
+            m >>= width
+            j += 1
+        return mon
+
+    return GradedPolyF2(n, frozenset(map(unpack, out)))
 
 
 def sq(i: int, p: GradedPolyF2) -> GradedPolyF2:

@@ -7,6 +7,8 @@ maximal-torus character of a representation-ring symbol (up to 3^m terms),
 which :func:`circle_oracle` collapses to the first circle factor.  The
 ``series_*`` functions are the truncated-series operations the library no
 longer needs: powers, inversion and truncation of a ``TruncatedPoly``.
+:func:`sq_by_factors` applies a Steenrod square one factor at a time on
+sorted tuples, the reference for the packed engine in ``spinchern.steenrod``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable, Mapping
 
 from spinchern.laurent import TruncatedPoly
 from spinchern.spin_reps import CONVENTIONS, PAPER_LITERAL, VECTOR_REP, RepSymbol, SpinGroup
+from spinchern.steenrod import GradedPolyF2, sq_on_generator
 
 ExponentVector = tuple[int, ...]
 
@@ -336,3 +339,36 @@ def truncate(p: TruncatedPoly, cutoff: int) -> TruncatedPoly:
     if cutoff > p.cutoff:
         raise ValueError("cannot extend a truncated polynomial")
     return TruncatedPoly(p.ring, cutoff, p.coeffs[: cutoff + 1])
+
+
+# ---- Steenrod squares ---------------------------------------------------------
+
+
+def sq_by_factors(
+    i: int, mon: tuple[int, ...], n: int, drop_w1: bool = False
+) -> GradedPolyF2:
+    """Sq^i of one monomial by the Cartan convolution over its factors.
+
+    States are (spent, partial monomial) with mod-2 multiplicity, one Wu
+    expansion per factor (so w_2^128 takes 128 steps); branches that can no
+    longer reach a total spend of i are pruned via the suffix degree sum (a
+    factor w_j absorbs at most Sq^j).  With ``drop_w1`` every Wu piece that
+    contains w_1 is skipped.
+    """
+    suffix = [0] * (len(mon) + 1)
+    for pos in range(len(mon) - 1, -1, -1):
+        suffix[pos] = suffix[pos + 1] + mon[pos]
+    if i > suffix[0]:
+        return GradedPolyF2.zero(n)
+    states: set[tuple[int, tuple[int, ...]]] = {(0, ())}
+    for pos, j in enumerate(mon):
+        cap = suffix[pos + 1]
+        nxt: set[tuple[int, tuple[int, ...]]] = set()
+        for spent, partial in states:
+            for s in range(max(0, i - spent - cap), min(j, i - spent) + 1):
+                for gmon in sq_on_generator(s, j, n).terms:
+                    if drop_w1 and 1 in gmon:
+                        continue
+                    nxt ^= {(spent + s, tuple(sorted(partial + gmon)))}
+        states = nxt
+    return GradedPolyF2(n, frozenset(partial for spent, partial in states if spent == i))

@@ -465,6 +465,18 @@ def test_spawned_process_exit_codes():
     assert "error:" in usage.stderr
 
 
+def test_python_dash_m_spinchern_runs_the_cli(capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinchern", "quillen", "--n", "9"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(capsys, "quillen", "--n", "9")[1]
+
+
 # ---- fuzzing -------------------------------------------------------------------
 
 # Small sizes keep accepted runs cheap; the large ones meet the input budgets.

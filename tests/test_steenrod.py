@@ -6,16 +6,21 @@ symmetric function of the roots, the total square sends each root t to
 t + t^2 and extends multiplicatively, and Sq^i picks out the homogeneous
 degree j + i part.  Expressing the result back in the w-basis uses the
 classical leading-term algorithm for symmetric functions.  None of that
-shares code with the Wu/Cartan implementation under test.
+shares code with the Wu/Cartan implementation under test.  The roots oracle
+is slow for high powers, so the packed engine is also checked against
+``oracles.sq_by_factors``, which shares only the Wu formula with it and
+applies the Cartan formula one factor at a time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+from math import comb
 
 import pytest
 
-from oracles import MultiLaurent, elementary_symmetric
+from oracles import MultiLaurent, elementary_symmetric, sq_by_factors
 from spinchern.steenrod import (
     GradedPolyF2,
     binom_mod2,
@@ -144,6 +149,14 @@ def test_sq_products_match_roots_oracle():
             assert got == want, (i, mon)
 
 
+def test_sq_high_powers_match_roots_oracle():
+    # exponents of 4 and more; w2^5 w3 stays at n = 4, where the oracle is quick
+    for n, mon in [(6, (2, 2, 2, 2)), (6, (3, 3, 3, 3)), (4, (2, 2, 2, 2, 2, 3))]:
+        for i in range(0, sum(mon) + 2):
+            got = sq(i, GradedPolyF2.from_monomials(n, [mon]))
+            assert got == oracle_sq_monomial(i, mon, n), (i, mon)
+
+
 def test_sq1_of_w2w3():
     # Sq^1(w2 w3) = w3 Sq^1 w2 + w2 Sq^1 w3 = w3(w1w2 + w3) + w2 w1w3,
     # frozen from the roots oracle: the w1 terms cancel, leaving w3^2
@@ -182,6 +195,44 @@ def test_cartan_coherence_random():
         for t in range(i + 1):
             convolved = convolved + sq(t, pa) * sq(i - t, pb)
         assert direct == convolved, (a, b, i)
+
+
+def _random_power_monomial(rng: random.Random, lo: int, n: int) -> tuple[int, ...]:
+    """Up to 4 distinct generators from w_lo..w_n, exponents up to 16, degree <= 60."""
+    while True:
+        gens = rng.sample(range(lo, n + 1), rng.randint(1, min(4, n - lo + 1)))
+        mon = tuple(sorted(j for j in gens for _ in range(rng.randint(1, 16))))
+        if sum(mon) <= 60:
+            return mon
+
+
+def test_packed_engine_matches_factor_oracle():
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        mon = _random_power_monomial(rng, 1, n)
+        i = rng.randint(1, sum(mon) + 1)
+        p = GradedPolyF2.from_monomials(n, [mon])
+        assert sq(i, p) == sq_by_factors(i, mon, n), (i, mon, n)
+    for _ in range(150):
+        n = rng.randint(3, 12)
+        mon = _random_power_monomial(rng, 2, n)
+        i = rng.randint(1, sum(mon) + 1)
+        p = GradedPolyF2.from_monomials(n, [mon])
+        assert sq_bso(i, p) == sq_by_factors(i, mon, n, drop_w1=True), (i, mon, n)
+
+
+def test_sq_powers_of_w1_across_field_widths():
+    # Sq^i(w1^e) = binom(e, i) w1^(e+i); the output degree e + i sets the
+    # packed field width, and these exponents fill a field up to 2^k - 1
+    # (15, 511) and pass it (512, 513)
+    n = 3
+    for e in (7, 255, 256):
+        p = w(*[1] * e, n=n)
+        assert sq(e, p) == w(*[1] * (2 * e), n=n)
+        for i in range(max(0, e - 9), e + 2):
+            want = w(*[1] * (e + i), n=n) if comb(e, i) % 2 else GradedPolyF2.zero(n)
+            assert sq(i, p) == want, (e, i)
 
 
 def test_sq_additive():
@@ -296,6 +347,23 @@ def test_presentation_shape_large_n_depth_limited():
         assert len(j_degrees_expected(h)) == h
         pres = j_ideal_generators(n, depth=5)
         assert [g.degree() for g in pres.generators] == [2, 3, 5, 9, 17]
+
+
+@pytest.mark.parametrize(
+    "n, counts, digest",
+    [
+        (17, [1, 1, 2, 7, 38, 268, 2123, 17541],
+         "e4a4de8e5b96fadf55cc6686276cac31440b76d5d906151304bc466bcc3a4e02"),
+        (18, [1, 1, 2, 7, 38, 277, 2304, 20099],
+         "faed25c6d1dbd05dd4f77c97cf05e9ccd7dfa06494befcdb3b79e62278d13e70"),
+    ],
+    ids=["n17", "n18"],
+)
+def test_degree_129_generators_frozen(n, counts, digest):
+    # theta_1..theta_8 (degree 129), frozen from the per-factor engine
+    gens = j_ideal_generators(n, depth=8).generators
+    assert [len(g.terms) for g in gens] == counts
+    assert hashlib.sha256(str(gens[7]).encode()).hexdigest() == digest
 
 
 def test_truncation_consistency_across_n():
