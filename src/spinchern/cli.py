@@ -54,10 +54,10 @@ DEFAULT_J_POLY_LIMIT = 65
 
 # Input budgets, estimated from closed forms and checked before any work.
 MAX_N = 1024  # quillen and restrict; a quillen row at n holds ~n^2/8 bits of degrees
-MAX_QUILLEN_ROWS = 128  # a row costs ~0.07 s and ~90 KB of json report
+MAX_QUILLEN_ROWS = 128  # a row costs ~0.03 s and 82-132 KB of json report (n 6..1024)
 # --full-j up to n = 20: its degree-513 generator has 2,534,841 terms, and
-# `quillen --n 20 --full-j` took 109 s and 2.8 GiB peak RSS (2-vCPU VM,
-# Python 3.11), most of it the tuple terms
+# `quillen --n 20 --full-j` took 15 s and 690 MiB peak RSS (2-vCPU VM,
+# Python 3.11), most of it the packed terms and the printed report
 MAX_FULL_J_DEGREE = 513
 MAX_SERIES_TERMS = 2**18  # coefficients of one truncated series
 MAX_SWEEP_TERMS = 2**23  # coefficients of all the series of one prop2 sweep

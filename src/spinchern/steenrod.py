@@ -1,9 +1,7 @@
 """Steenrod squares on universal Stiefel-Whitney classes.
 
 Elements of F2[w_1, ..., w_n] are sets of monomials (set semantics is mod-2
-addition); a monomial is the sorted tuple of its generator indices with
-repetition, so w_2 * w_3^2 is (2, 3, 3) and the empty tuple is 1.  Squares
-act on generators by the Wu formula
+addition).  Squares act on generators by the Wu formula
 
     Sq^i(w_j) = sum_t binom(j - i + t - 1, t) w_{i-t} w_{j+t}   (mod 2)
 
@@ -13,14 +11,23 @@ binom(-a, t) = binom(a + t - 1, t) mod 2, which is what makes the excess
 terms cancel (Sq^i w_j = 0 for i > j).  Everything mod 2 goes through
 Lucas' theorem, a bitwise test.
 
-Squares run on packed monomials (Monagan & Pearce's packed exponent
-vectors): one Python int with a fixed-width exponent field per generator,
-so a product of monomials is an integer sum and a square is a doubling.
+A monomial is one packed Python int (Monagan & Pearce's packed exponent
+vectors).  The width is the bit length of the polynomial's largest total
+degree, so no field overflows and equal polynomials have equal ints.  The
+exponent of w_j sits in a ``width``-bit field at bit (J - j) * width and
+the total degree in one more field above them, at bit J * width, where
+J = min(n, 2^width - 1): no monomial of degree below 2^width has a factor
+w_j with j > J (so J = n unless n is large against the degree).  A product
+of monomials is an integer sum and a square is a doubling.  The degree
+field makes degree and homogeneity a shift, a ``min`` and a ``max``, and
+inside one homogeneous polynomial descending int order is the order of the
+sorted index tuples (w_2 * w_3^2 is (2, 3, 3)), which is the print order.
+``GradedPolyF2.monomials`` decodes the ints into those tuples.
+
 Within one application of Sq^i the squares of generator powers are
 memoised, Sq^s(w_j^e) being the square of Sq^{s/2}(w_j^{e/2}) for even e
 and one Wu factor times the even power for odd e, and the Cartan formula
 runs over the distinct generators of each monomial, not over its factors.
-The result is unpacked into sorted tuples.
 
 Setting w_1 = 0 passes to oriented bundles; the ideal (w_1) is stable under
 squares, so dropping w_1-monomials after each application computes the
@@ -32,11 +39,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from typing import Iterable, Iterator
 
 from .spin_reps import quillen_h
 
 Monomial = tuple[int, ...]
+
+# Exponent fields per memoised piece of text when a polynomial is printed.
+RENDER_CHUNK_FIELDS = 4
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -49,52 +59,144 @@ def binom_mod2(n: int, k: int) -> int:
     return 1 if (n & k) == k else 0
 
 
+def _fields(n: int, width: int) -> int:
+    """The exponent fields w_1 .. w_J of the ``width``-bit layout: a monomial
+    of degree d < 2^width has no factor w_j with j > d."""
+    return min(n, (1 << width) - 1)
+
+
+def _spread(m: int, n: int, old: int, new: int) -> int:
+    """A packed monomial moved from the ``old``-bit layout to the ``new``-bit one."""
+    old_top, new_top = _fields(n, old), _fields(n, new)
+    mask = (1 << old) - 1
+    degree = m >> old_top * old
+    out = degree << new_top * new
+    for j in range(1, min(old_top, new_top, degree) + 1):  # higher w_j have no field or are 0
+        out |= ((m >> (old_top - j) * old) & mask) << (new_top - j) * new
+    return out
+
+
+class _ChunkText(dict):
+    """Memoised text of one chunk of exponent fields, w_first .. w_last.
+
+    A chunk value maps to ``"*w3^2*w5"``: its factors, each with a leading
+    ``*``, so a monomial prints as the concatenation of its chunks minus the
+    first character.
+    """
+
+    def __init__(self, top: int, first: int, last: int, width: int) -> None:
+        super().__init__()
+        self.first, self.last, self.width = first, last, width
+        self.shift = (top - last) * width
+        self.mask = (1 << (last - first + 1) * width) - 1
+
+    def __missing__(self, chunk: int) -> str:
+        mask = (1 << self.width) - 1
+        text = ""
+        for j in range(self.first, self.last + 1):
+            e = (chunk >> (self.last - j) * self.width) & mask
+            if e:
+                text += f"*w{j}" if e == 1 else f"*w{j}^{e}"
+        self[chunk] = text
+        return text
+
+    def column(self, order: Iterable[int]) -> Iterator[str]:
+        """The text of this chunk in each packed monomial of ``order``."""
+        shift, mask = self.shift, self.mask
+        return map(self.__getitem__, (m >> shift & mask for m in order))
+
+
 @dataclass(frozen=True)
 class GradedPolyF2:
-    """A polynomial over F2 in graded generators w_1 ... w_n."""
+    """A polynomial over F2 in graded generators w_1 ... w_n.
+
+    ``terms`` holds one packed int per monomial at the canonical ``width``
+    (see the module docstring), so ``len(terms)`` counts monomials.
+    """
 
     n: int
-    terms: frozenset[Monomial]
+    terms: frozenset[int]
+    width: int
+
+    @property
+    def _shift(self) -> int:
+        """The bit where each monomial's degree field starts."""
+        return _fields(self.n, self.width) * self.width
+
+    @classmethod
+    def packed(cls, n: int, terms: Iterable[int], width: int) -> GradedPolyF2:
+        """The polynomial on ``width``-bit packed monomials, re-spread to the
+        canonical width if its largest degree needs fewer bits."""
+        terms = frozenset(terms)
+        canonical = (max(terms) >> _fields(n, width) * width).bit_length() if terms else 0
+        if canonical != width:
+            terms = frozenset(_spread(m, n, width, canonical) for m in terms)
+        return cls(n, terms, canonical)
 
     @classmethod
     def zero(cls, n: int) -> GradedPolyF2:
-        return cls(n, frozenset())
+        return cls(n, frozenset(), 0)
 
     @classmethod
     def one(cls, n: int) -> GradedPolyF2:
-        return cls(n, frozenset({()}))
+        return cls(n, frozenset({0}), 0)
 
     @classmethod
     def generator(cls, j: int, n: int) -> GradedPolyF2:
         if not 1 <= j <= n:
             raise ValueError(f"generator index {j} out of range 1..{n}")
-        return cls(n, frozenset({(j,)}))
+        return cls.from_monomials(n, [(j,)])
 
     @classmethod
-    def from_monomials(cls, n: int, monomials: list[Monomial]) -> GradedPolyF2:
-        terms: set[Monomial] = set()
+    def from_monomials(cls, n: int, monomials: Iterable[Monomial]) -> GradedPolyF2:
+        """The mod-2 sum of monomials given as generator-index tuples."""
+        monomials = list(monomials)
         for mon in monomials:
             if any(not 1 <= idx <= n for idx in mon):
                 raise ValueError(f"monomial {mon} has an index outside 1..{n}")
-            terms ^= {tuple(sorted(mon))}
-        return cls(n, frozenset(terms))
+        width = max(map(sum, monomials), default=0).bit_length()
+        top = _fields(n, width)
+        terms: set[int] = set()
+        for mon in monomials:
+            m = sum(mon) << top * width
+            for idx in mon:
+                m += 1 << (top - idx) * width
+            terms ^= {m}
+        return cls.packed(n, terms, width)
+
+    def monomials(self) -> frozenset[Monomial]:
+        """The terms as sorted generator-index tuples: w_2 * w_3^2 is (2, 3, 3)."""
+        return frozenset(map(self._decode, self.terms))
+
+    def _decode(self, m: int) -> Monomial:
+        width = self.width
+        top, mask = _fields(self.n, width), (1 << width) - 1
+        return tuple(j for j in range(1, top + 1) for _ in range((m >> (top - j) * width) & mask))
+
+    def _at(self, width: int) -> frozenset[int]:
+        """The terms with ``width``-bit fields (``width`` >= ``self.width``)."""
+        if width == self.width:
+            return self.terms
+        return frozenset(_spread(m, self.n, self.width, width) for m in self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __add__(self, other: GradedPolyF2) -> GradedPolyF2:
         self._check(other)
-        return GradedPolyF2(self.n, self.terms ^ other.terms)
+        width = max(self.width, other.width)
+        return GradedPolyF2.packed(self.n, self._at(width) ^ other._at(width), width)
 
     def __mul__(self, other: GradedPolyF2) -> GradedPolyF2:
         self._check(other)
-        out: set[Monomial] = set()
-        for a in self.terms:
-            for b in other.terms:
-                mon = tuple(sorted(a + b))
-                if all(idx <= self.n for idx in mon):
-                    out ^= {mon}
-        return GradedPolyF2(self.n, frozenset(out))
+        if not self.terms or not other.terms:
+            return GradedPolyF2.zero(self.n)
+        width = ((max(self.terms) >> self._shift) + (max(other.terms) >> other._shift)).bit_length()
+        right = other._at(width)
+        out: set[int] = set()
+        for a in self._at(width):
+            out.symmetric_difference_update({a + b for b in right})
+        return GradedPolyF2.packed(self.n, out, width)
 
     def _check(self, other: GradedPolyF2) -> None:
         if self.n != other.n:
@@ -102,30 +204,31 @@ class GradedPolyF2:
 
     def degree(self) -> int:
         """Degree of a homogeneous polynomial (0 for the zero polynomial)."""
-        degs = {sum(mon) for mon in self.terms}
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        if not self.is_homogeneous():
+            degs = sorted({m >> self._shift for m in self.terms})
+            raise ValueError(f"polynomial is not homogeneous: degrees {degs}")
+        return max(self.terms, default=0) >> self._shift
 
     def is_homogeneous(self) -> bool:
-        return len({sum(mon) for mon in self.terms}) <= 1
+        shift = self._shift
+        return not self.terms or min(self.terms) >> shift == max(self.terms) >> shift
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        rendered = []
-        for mon in sorted(self.terms):
-            if not mon:
-                rendered.append("1")
-                continue
-            factors = []
-            for idx, run in groupby(mon):  # mon is sorted: one run per generator
-                e = len(list(run))
-                factors.append(f"w{idx}" if e == 1 else f"w{idx}^{e}")
-            rendered.append("*".join(factors))
-        return " + ".join(rendered)
+        if not self.width:
+            return "1"  # the only monomial of degree 0
+        if self.is_homogeneous():
+            order = sorted(self.terms, reverse=True)  # ascending index tuples
+        else:
+            order = sorted(self.terms, key=self._decode)
+        top = _fields(self.n, self.width)
+        used = min(top, max(self.terms) >> self._shift)  # no w_j above the top degree
+        columns = [
+            _ChunkText(top, j, min(j + RENDER_CHUNK_FIELDS - 1, used), self.width).column(order)
+            for j in range(1, used + 1, RENDER_CHUNK_FIELDS)
+        ]
+        return " + ".join("".join(chunks)[1:] or "1" for chunks in zip(*columns))
 
 
 @lru_cache(maxsize=None)
@@ -135,32 +238,31 @@ def sq_on_generator(i: int, j: int, n: int) -> GradedPolyF2:
         raise ValueError("Sq index must be nonnegative")
     if not 1 <= j <= n:
         raise ValueError(f"generator index {j} out of range 1..{n}")
-    terms: set[Monomial] = set()
+    monomials = []
     for t in range(i + 1):
         if not binom_mod2(j - i + t - 1, t):
             continue
         lo, hi = i - t, j + t
         if hi > n or lo > n:
             continue
-        mon = tuple(sorted(idx for idx in (lo, hi) if idx))  # w_0 = 1
-        terms ^= {mon}
-    return GradedPolyF2(n, frozenset(terms))
+        monomials.append(tuple(idx for idx in (lo, hi) if idx))  # w_0 = 1
+    return GradedPolyF2.from_monomials(n, monomials)
 
 
 def _sq(i: int, p: GradedPolyF2, drop_w1: bool) -> GradedPolyF2:
     """Sq^i on packed monomials; Sq^0 = id and negative indices are rejected.
 
-    A monomial packs into one int with a ``width``-bit exponent field per
-    generator (w_j's field starts at bit (j - 1) * width).  No exponent
-    exceeds the output degree, so no field overflows: a product is an
-    integer sum and a square is ``2 * m``.
+    The output fields are as wide as the largest output degree needs, so no
+    field overflows: a product is an integer sum and a square is ``2 * m``.
     """
     if i < 0:
         raise ValueError("Sq index must be nonnegative")
-    if i == 0:
+    if i == 0 or not p.terms:
         return p
-    n = p.n
-    width = (max(map(sum, p.terms), default=0) + i).bit_length()
+    n, in_width, in_shift = p.n, p.width, p._shift
+    in_top, in_mask = _fields(n, in_width), (1 << in_width) - 1
+    width = ((max(p.terms) >> in_shift) + i).bit_length()
+    w1_field = ((1 << width) - 1) << (_fields(n, width) - 1) * width
     memo: dict[tuple[int, int, int], set[int]] = {}
 
     def power(s: int, j: int, e: int) -> set[int]:
@@ -172,10 +274,11 @@ def _sq(i: int, p: GradedPolyF2, drop_w1: bool) -> GradedPolyF2:
         if s > j * e:
             pass  # instability: Sq^s x = 0 above the degree of x
         elif e == 1:
-            for gmon in sq_on_generator(s, j, n).terms:
-                if drop_w1 and 1 in gmon:
-                    continue  # a w_1 factor can never cancel later
-                out.add(sum(1 << (k - 1) * width for k in gmon))
+            wu = sq_on_generator(s, j, n)
+            for g in wu.terms:
+                g = _spread(g, n, wu.width, width)
+                if not (drop_w1 and g & w1_field):  # a w_1 factor can never cancel later
+                    out.add(g)
         elif e % 2 == 0:
             if s % 2 == 0:  # Sq(x^2) = (Sq x)^2 mod 2
                 out = {2 * m for m in power(s // 2, j, e // 2)}
@@ -189,12 +292,14 @@ def _sq(i: int, p: GradedPolyF2, drop_w1: bool) -> GradedPolyF2:
 
     out: set[int] = set()
     for mon in p.terms:
-        cap = sum(mon)
+        cap = mon >> in_shift
         # Cartan over the distinct generators; states map Sq degree spent so
         # far to partial products, pruned when the rest cannot absorb i
         states: dict[int, set[int]] = {0: {0}}
-        for j, run in groupby(mon):
-            e = len(list(run))
+        for j in range(1, in_top + 1):
+            e = (mon >> (in_top - j) * in_width) & in_mask
+            if not e:
+                continue
             cap -= j * e
             nxt: dict[int, set[int]] = {}
             for spent, partials in states.items():
@@ -206,20 +311,7 @@ def _sq(i: int, p: GradedPolyF2, drop_w1: bool) -> GradedPolyF2:
                             acc.symmetric_difference_update({g + m for m in partials})
             states = nxt
         out.symmetric_difference_update(states.get(i, ()))
-
-    mask = (1 << width) - 1
-
-    def unpack(m: int) -> Monomial:
-        mon: Monomial = ()
-        j = 1
-        while m:
-            if m & mask:
-                mon += (j,) * (m & mask)
-            m >>= width
-            j += 1
-        return mon
-
-    return GradedPolyF2(n, frozenset(map(unpack, out)))
+    return GradedPolyF2.packed(n, out, width)
 
 
 def sq(i: int, p: GradedPolyF2) -> GradedPolyF2:
@@ -229,7 +321,8 @@ def sq(i: int, p: GradedPolyF2) -> GradedPolyF2:
 
 def drop_w1(p: GradedPolyF2) -> GradedPolyF2:
     """Pass to oriented bundles: kill every monomial containing w_1."""
-    return GradedPolyF2(p.n, frozenset(m for m in p.terms if 1 not in m))
+    w1_field = ((1 << p.width) - 1) << (_fields(p.n, p.width) - 1) * p.width  # the top one
+    return GradedPolyF2.packed(p.n, (m for m in p.terms if not m & w1_field), p.width)
 
 
 def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:

@@ -366,9 +366,9 @@ def sq_by_factors(
         nxt: set[tuple[int, tuple[int, ...]]] = set()
         for spent, partial in states:
             for s in range(max(0, i - spent - cap), min(j, i - spent) + 1):
-                for gmon in sq_on_generator(s, j, n).terms:
+                for gmon in sq_on_generator(s, j, n).monomials():
                     if drop_w1 and 1 in gmon:
                         continue
                     nxt ^= {(spent + s, tuple(sorted(partial + gmon)))}
         states = nxt
-    return GradedPolyF2(n, frozenset(partial for spent, partial in states if spent == i))
+    return GradedPolyF2.from_monomials(n, [partial for spent, partial in states if spent == i])

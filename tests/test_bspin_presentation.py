@@ -53,7 +53,7 @@ def ideal_piece(
             continue
         for mu in monomials(n, degree - theta.degree()):
             row = 0
-            for term in theta.terms:
+            for term in theta.monomials():
                 row ^= 1 << index[tuple(sorted(mu + term))]
             rest = reduce(pivots, row)
             if rest:
@@ -97,7 +97,7 @@ def test_next_square_lies_in_the_ideal(n):
     assert nxt and nxt.degree() == 2**pres.h + 1
     index, pivots = ideal_piece(n, list(pres.generators), nxt.degree())
     row = 0
-    for term in nxt.terms:
+    for term in nxt.monomials():
         row ^= 1 << index[term]
     assert reduce(pivots, row) == 0
 
@@ -108,6 +108,6 @@ def test_hilbert_oracle_catches_a_flipped_monomial():
     # (flipping w2*w3 instead leaves the ideal unchanged)
     n = 8
     thetas = list(j_ideal_generators(n).generators)
-    assert thetas[2].terms == {(5,), (2, 3)}
+    assert thetas[2].monomials() == {(5,), (2, 3)}
     thetas[2] = thetas[2] + GradedPolyF2.from_monomials(n, [(5,)])
     assert first_hilbert_mismatch(n, thetas, 30) == 5

@@ -367,6 +367,9 @@ REPORT_DIGESTS = [
      "f226cce748cce717026a31419bfdfc7f396f1a99519977b549dbfaa8f691205d"),
     (("restrict", "--n", "12", "--cutoff", "64", "--format", "plain", "3*delta+ - lambda2"),
      "8a541594e62206193c878d677632a207501e4ad842876db4019c6837d65ee083"),
+    # theta_8 and theta_9 at n = 17 and 18; the benchmark's reference digest
+    (("quillen", "--n", "6..18", "--full-j", "--format", "json"),
+     "468b2710b946e1dc6851d87d583c77d198c665d2f9907d130c3e7b6985cfcd70"),
 ]
 
 

@@ -90,7 +90,7 @@ def _express_in_w(p: MultiLaurent, n: int) -> GradedPolyF2:
         conjugate = [sum(1 for a in exps if a >= i) for i in range(1, exps[0] + 1)]
         collected ^= {tuple(sorted(conjugate))}
         remaining = _reduce2(remaining + _roots_of_monomial(tuple(conjugate), n))
-    return GradedPolyF2(n, frozenset(collected))
+    return GradedPolyF2.from_monomials(n, collected)
 
 
 def oracle_sq_monomial(i: int, mon: tuple[int, ...], n: int) -> GradedPolyF2:
@@ -243,6 +243,62 @@ def test_sq_additive():
         assert sq(i, p + q) == sq(i, p) + sq(i, q)
 
 
+# ---- packed terms -------------------------------------------------------------
+
+
+def _tuple_product(a: GradedPolyF2, b: GradedPolyF2) -> set[tuple[int, ...]]:
+    out: set[tuple[int, ...]] = set()
+    for x in a.monomials():
+        for y in b.monomials():
+            out ^= {tuple(sorted(x + y))}
+    return out
+
+
+def test_inhomogeneous_polynomial_prints_in_tuple_order():
+    p = GradedPolyF2.from_monomials(4, [(3,), (2, 3), (2,), (), (2, 2)])
+    assert str(p) == "1 + w2 + w2^2 + w2*w3 + w3"
+    assert (str(GradedPolyF2.one(4)), str(GradedPolyF2.zero(4))) == ("1", "0")
+
+
+def test_width_shrinks_back_when_the_top_degree_cancels():
+    n = 6
+    p = w(2, 3, n=n) + w(5, n=n)  # degree 5: 3-bit fields
+    q = w(*[2] * 8, n=n) + w(3, 5, n=n)  # degrees 16 and 8: 5-bit fields
+    widened = p + q
+    assert widened.width > p.width
+    back = widened + q
+    assert back == p and hash(back) == hash(p)
+    assert (back.width, back.terms) == (p.width, p.terms)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_drop_w1_works_on_the_top_field(n):
+    # degree 7 fills w_1's field (w1^7 = 0b111); at n = 12 the layout stops
+    # at w_7, below n, so w_1's field sits lower in the int
+    mons = [(1,) * 7, (1, 2, 4), (2, 2, 3), (3, 4), (2, 5), (1, 1, 5)]
+    p = GradedPolyF2.from_monomials(n, mons)
+    assert p.width == 3
+    kept = drop_w1(p)
+    assert kept.monomials() == {m for m in mons if 1 not in m}
+    assert kept == GradedPolyF2.from_monomials(n, [m for m in mons if 1 not in m])
+    assert drop_w1(w(*[1] * 7, n=n)) == GradedPolyF2.zero(n)
+
+
+def test_mul_across_widths_matches_tuple_oracle():
+    rng = random.Random(43)
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        a, b = (
+            [tuple(rng.choices(range(1, n + 1), k=rng.randint(0, top))) for _ in range(rng.randint(1, 4))]
+            for top in (3, 12)
+        )
+        pa, pb = GradedPolyF2.from_monomials(n, a), GradedPolyF2.from_monomials(n, b)
+        want = _tuple_product(pa, pb)
+        got = pa * pb
+        assert got.monomials() == want, (a, b, n)
+        assert got == GradedPolyF2.from_monomials(n, want) == pb * pa
+
+
 # ---- instability --------------------------------------------------------------
 
 
@@ -326,7 +382,7 @@ def test_theta4_matches_roots_oracle():
     n = 9
     theta3 = j_ideal_generators(n).generators[2]  # w2 w3 + w5
     want = GradedPolyF2.zero(n)
-    for mon in theta3.terms:
+    for mon in theta3.monomials():
         want = want + oracle_sq_monomial(4, mon, n)
     assert drop_w1(want) == j_ideal_generators(n).generators[3]
 
@@ -371,8 +427,8 @@ def test_truncation_consistency_across_n():
     for n in (13, 14, 15):
         small = j_ideal_generators(n)
         for a, b in zip(big.generators, small.generators):
-            truncated = GradedPolyF2(
-                n, frozenset(m for m in a.terms if all(i <= n for i in m))
+            truncated = GradedPolyF2.from_monomials(
+                n, [m for m in a.monomials() if all(i <= n for i in m)]
             )
             assert truncated == b
 
