@@ -53,7 +53,6 @@ from .spin_reps import (
 )
 from .steenrod import (
     GradedPolyF2,
-    SpinPresentation,
     binom_mod2,
     drop_w1,
     j_degrees_expected,
@@ -92,7 +91,6 @@ __all__ = [
     "complexification_check",
     "vanishing_on_bso_check",
     "GradedPolyF2",
-    "SpinPresentation",
     "binom_mod2",
     "sq_on_generator",
     "sq",

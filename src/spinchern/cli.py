@@ -48,8 +48,8 @@ from .steenrod import j_degrees_expected, j_ideal_generators
 USAGE_ERROR = 2
 MISMATCH = 1
 
-# j-generator polynomials above this degree are expensive to expand and are
-# reported by degree only (override with --full-j).
+# json reports expand the ideal generator polynomials up to this degree and
+# give the larger ones by degree only (override with --full-j).
 DEFAULT_J_POLY_LIMIT = 65
 
 # Input budgets, estimated from closed forms and checked before any work.
@@ -203,19 +203,21 @@ def run_theorem1(groups: list[str], convention: str, cutoff: int | None) -> dict
     }
 
 
-def run_quillen(n_lo: int, n_hi: int, full_j: bool) -> dict:
+def run_quillen(n_lo: int, n_hi: int, full_j: bool, generators: bool = True) -> dict:
+    """The Quillen table rows for n_lo..n_hi.  With ``generators`` each row
+    also carries the ideal generator polynomials up to degree
+    ``DEFAULT_J_POLY_LIMIT`` (every degree under ``full_j``); md and plain
+    reports print only their degrees, so they expand none."""
     if not 6 <= n_lo <= n_hi <= MAX_N:
         raise UsageError(f"n range must sit inside 6..{MAX_N}, got {n_lo}..{n_hi}")
     if n_hi - n_lo + 1 > MAX_QUILLEN_ROWS:
         raise UsageError(f"{n_hi - n_lo + 1} rows requested; the budget is {MAX_QUILLEN_ROWS}")
     if full_j and 2 ** (quillen_h(n_hi).h - 1) + 1 > MAX_FULL_J_DEGREE:
         raise UsageError(f"--full-j stops at degree {MAX_FULL_J_DEGREE} (n <= 20), got n = {n_hi}")
+    max_degree = None if full_j else DEFAULT_J_POLY_LIMIT
     rows = []
     for n in range(n_lo, n_hi + 1):
         info = quillen_h(n)
-        j_degrees = j_degrees_expected(info.h)
-        depth = None if full_j else sum(1 for d in j_degrees if d <= DEFAULT_J_POLY_LIMIT)
-        pres = j_ideal_generators(n, depth=depth)
         row = {
             "n": n,
             "m": n // 2,
@@ -224,10 +226,12 @@ def run_quillen(n_lo: int, n_hi: int, full_j: bool) -> dict:
             "deg_z": info.deg_z,
             "table_h": info.table_h,
             "note": info.note,
-            "j_degrees": j_degrees,
-            "generators": [str(g) for g in pres.generators],
-            "generators_truncated": len(pres.generators) < info.h,
+            "j_degrees": j_degrees_expected(info.h),
         }
+        if generators:
+            gens = j_ideal_generators(n, max_degree)
+            row["generators"] = [str(g) for g in gens]
+            row["generators_truncated"] = len(gens) < info.h
         rows.append(row)
     return {
         "command": "quillen",
@@ -439,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quillen", help="spinor type, h, deg z and ideal generators")
     p.add_argument("--n", required=True, help="n or range A..B")
     p.add_argument("--full-j", action="store_true",
-                   help="expand ideal generator polynomials of every degree (n <= 20)")
+                   help="in json reports, expand ideal generator polynomials of every "
+                        "degree (n <= 20)")
     p.add_argument("--format", choices=("json", "md", "plain"), default="plain", dest="fmt")
     p.add_argument("--out", default=None)
 
@@ -474,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
             code = 0 if report["all_passed"] else MISMATCH
         elif args.command == "quillen":
             n_lo, n_hi = _parse_range(args.n, "n")
-            report = run_quillen(n_lo, n_hi, args.full_j)
+            report = run_quillen(n_lo, n_hi, args.full_j, generators=args.fmt == "json")
             code = 0
         else:
             report = run_restrict(args.n, args.expression, args.convention, args.cutoff)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .char_classes import total_chern, total_sw_real
+from .char_classes import complexification_check, total_chern, total_sw_real
 from .laurent import TruncatedPoly
 from .spin_reps import (
     DELTA,
@@ -210,11 +210,11 @@ def verify_case(
     """Run the whole pipeline for one case and report every verdict.
 
     Steps: build the circle character; take the total class of the matching
-    kind (plus the complexified Chern class for SW-kind cases, asserting the
-    square relation); check the total class is exactly 1 plus the expected
-    top class; classify the top class in the image subring; audit the
-    dimension.  Mismatches produce a failing report with the computed
-    witness, never an exception.
+    kind (plus the complexified Chern class for SW-kind cases, checking the
+    square relation c = w^2 against the integral class); check the total
+    class is exactly 1 plus the expected top class; classify the top class
+    in the image subring; audit the dimension.  Mismatches produce a failing
+    report with the computed witness, never an exception.
     """
     h = quillen_h(case.spin_n).h
     top_u = case.top_u_exponent
@@ -248,7 +248,7 @@ def verify_case(
         chern_top_exp = case.top_degree  # c_{top_degree} sits at u^{top_degree}
         chern_shape_ok = _is_one_plus(chern_f2, chern_top_exp)
         chern_membership = indecomposable_in_image(chern_top_exp, h)
-        square_ok = chern_f2 == series * series
+        square_ok = complexification_check(weights, cutoff)
         sw_ok = square_ok and chern_shape_ok and chern_membership == DECOMPOSABLE
         complexified = {
             "total_class_str": str(chern_f2),

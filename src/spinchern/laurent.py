@@ -10,7 +10,32 @@ module.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Mapping
+
+
+def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Print (coefficient, variable text) pairs as a signed sum.
+
+    Zero coefficients are skipped; the first term keeps its sign and later
+    ones join with ``+`` or ``-``; a unit coefficient is dropped before a
+    variable, and an empty variable text prints the bare magnitude.  An
+    empty sum is ``"0"``.
+
+    >>> signed_sum([(-1, "u"), (2, "u^2"), (-3, "")])
+    '-u + 2*u^2 - 3'
+    """
+    parts: list[str] = []
+    for c, var in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = (var if mag == 1 else f"{mag}*{var}") if var else str(mag)
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 class TruncatedPoly:
@@ -59,7 +84,8 @@ class TruncatedPoly:
         return self.coeffs[k]
 
     def sparse(self) -> dict[int, int]:
-        return {k: c for k, c in enumerate(self.coeffs) if c}
+        coeffs = self.coeffs
+        return {k: coeffs[k] for k in compress(range(len(coeffs)), coeffs)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedPoly):
@@ -99,18 +125,9 @@ class TruncatedPoly:
     # ---- formatting --------------------------------------------------------
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            u_part = "" if k == 0 else ("u" if k == 1 else f"u^{k}")
-            mag = abs(c)
-            body = u_part if (mag == 1 and u_part) else (f"{mag}*{u_part}" if u_part else str(mag))
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        return signed_sum(
+            (c, "" if k == 0 else ("u" if k == 1 else f"u^{k}")) for k, c in self.sparse().items()
+        )
 
     def __repr__(self) -> str:
         return f"TruncatedPoly({self.ring!r}, {self.cutoff}, '{self}')"

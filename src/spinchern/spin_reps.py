@@ -29,6 +29,8 @@ import re
 from dataclasses import dataclass, field
 from math import comb
 
+from .laurent import signed_sum
+
 
 PAPER_LITERAL = "paper-literal"
 VECTOR_REP = "vector-rep"
@@ -137,19 +139,7 @@ class RepExpr:
         return RepExpr.from_dict({s: mult * c for s, c in self.terms})
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for sym, c in self.terms:
-            if sym.kind == "triv" and sym.index == 1:
-                body = str(abs(c))
-            else:
-                body = str(sym) if abs(c) == 1 else f"{abs(c)}*{sym}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((c, "" if sym == triv(1) else str(sym)) for sym, c in self.terms)
 
 
 _TERM_RE = re.compile(
@@ -257,18 +247,10 @@ def format_character(weights: dict[int, int]) -> str:
     >>> format_character({-1: 8, 1: 8})
     '8*z1 + 8*z1^-1'
     """
-    parts: list[str] = []
-    for k in sorted(weights, reverse=True):
-        a = weights[k]
-        if not a:
-            continue
-        var = "" if k == 0 else ("z1" if k == 1 else f"z1^{k}")
-        body = str(abs(a)) if not var else (var if abs(a) == 1 else f"{abs(a)}*{var}")
-        if parts:
-            parts.append(f"+ {body}" if a > 0 else f"- {body}")
-        else:
-            parts.append(body if a > 0 else f"-{body}")
-    return " ".join(parts) if parts else "0"
+    return signed_sum(
+        (weights[k], "" if k == 0 else ("z1" if k == 1 else f"z1^{k}"))
+        for k in sorted(weights, reverse=True)
+    )
 
 
 def closed_form_f1_lambda(g: SpinGroup, i: int) -> tuple[int, int]:

@@ -330,48 +330,24 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
     return _sq(i, p, drop_w1=True)
 
 
-@dataclass(frozen=True)
-class SpinPresentation:
-    """Presentation data for the mod-2 cohomology of BSpin(n).
-
-    The cohomology of BSO(n) gets divided by the ideal generated by the h
-    iterated squares of w_2 and tensored with a polynomial generator z of
-    degree 2^h.
-    """
-
-    n: int
-    h: int
-    generators: tuple[GradedPolyF2, ...]
-
-    @property
-    def deg_z(self) -> int:
-        return 2**self.h
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree() for g in self.generators)
-
-
 def j_degrees_expected(h: int) -> list[int]:
     """Degrees of the h ideal generators: 2, 3, 5, ..., 2^{h-1} + 1."""
     return [2 ** (r - 1) + 1 for r in range(1, h + 1)]
 
 
-def j_ideal_generators(n: int, depth: int | None = None) -> SpinPresentation:
-    """The ideal generators w_2, Sq^1 w_2, Sq^2 Sq^1 w_2, ... (h of them).
+def j_ideal_generators(n: int, max_degree: int | None = None) -> tuple[GradedPolyF2, ...]:
+    """The ideal generators theta_1 = w_2, theta_2 = Sq^1 w_2, ... of degree
+    at most ``max_degree`` (all h of them for ``None``; none below 2).
 
-    theta_1 = w_2 and theta_{r+1} = Sq^{2^{r-1}}(theta_r), computed with
-    w_1 = 0; the degrees come out as 2, 3, 5, ..., 2^{h-1} + 1.  ``depth``
-    caps how many generators are expanded (they grow quickly in degree);
-    the presentation's h is unaffected.
+    theta_{r+1} = Sq^{2^{r-1}}(theta_r), computed with w_1 = 0; the degrees
+    come out as 2, 3, 5, ..., 2^{h-1} + 1 (see :func:`j_degrees_expected`),
+    and no square is taken past the last generator returned.
     """
     if n < 6:
         raise ValueError(f"j_ideal_generators requires n >= 6, got {n}")
-    h = quillen_h(n).h
-    count = h if depth is None else max(1, min(depth, h))
-    theta = GradedPolyF2.generator(2, n)
-    gens = [theta]
+    degrees = j_degrees_expected(quillen_h(n).h)
+    count = sum(1 for d in degrees if max_degree is None or d <= max_degree)
+    gens = [GradedPolyF2.generator(2, n)] if count else []
     for r in range(1, count):
-        theta = sq_bso(2 ** (r - 1), theta)
-        gens.append(theta)
-    return SpinPresentation(n=n, h=h, generators=tuple(gens))
+        gens.append(sq_bso(2 ** (r - 1), gens[-1]))
+    return tuple(gens)

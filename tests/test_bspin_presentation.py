@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import pytest
 
+from spinchern.spin_reps import quillen_h
 from spinchern.steenrod import GradedPolyF2, Monomial, j_ideal_generators, sq_bso
 
 
@@ -86,16 +87,16 @@ def first_hilbert_mismatch(n: int, thetas: list[GradedPolyF2], top: int) -> int 
 
 @pytest.mark.parametrize("n,top", [(6, 30), (7, 30), (8, 30), (9, 30), (10, 30), (12, 28)])
 def test_quotient_has_the_regular_sequence_hilbert_series(n, top):
-    thetas = list(j_ideal_generators(n).generators)
+    thetas = list(j_ideal_generators(n))
     assert first_hilbert_mismatch(n, thetas, top) is None
 
 
 @pytest.mark.parametrize("n", range(6, 11))
 def test_next_square_lies_in_the_ideal(n):
-    pres = j_ideal_generators(n)
-    nxt = sq_bso(2 ** (pres.h - 1), pres.generators[-1])
-    assert nxt and nxt.degree() == 2**pres.h + 1
-    index, pivots = ideal_piece(n, list(pres.generators), nxt.degree())
+    thetas, h = list(j_ideal_generators(n)), quillen_h(n).h
+    nxt = sq_bso(2 ** (h - 1), thetas[-1])
+    assert nxt and nxt.degree() == 2**h + 1
+    index, pivots = ideal_piece(n, thetas, nxt.degree())
     row = 0
     for term in nxt.monomials():
         row ^= 1 << index[term]
@@ -107,7 +108,7 @@ def test_hilbert_oracle_catches_a_flipped_monomial():
     # the ideal loses one dimension in degree 5 and the sequence is not regular
     # (flipping w2*w3 instead leaves the ideal unchanged)
     n = 8
-    thetas = list(j_ideal_generators(n).generators)
+    thetas = list(j_ideal_generators(n))
     assert thetas[2].monomials() == {(5,), (2, 3)}
     thetas[2] = thetas[2] + GradedPolyF2.from_monomials(n, [(5,)])
     assert first_hilbert_mismatch(n, thetas, 30) == 5

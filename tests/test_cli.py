@@ -91,6 +91,19 @@ def test_quillen_n16(capsys):
     assert "[2, 3, 5, 9, 17, 33, 65]" in out
 
 
+@pytest.mark.parametrize("fmt", ["md", "plain"])
+def test_md_and_plain_quillen_take_no_square(fmt, capsys, monkeypatch):
+    # neither format prints a generator polynomial, so none is expanded
+    def refuse(i, p):
+        raise AssertionError(f"Sq^{i} taken for a {fmt} report")
+
+    monkeypatch.setattr("spinchern.steenrod.sq_bso", refuse)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "quillen", "--n", "6..20", "--full-j", "--format", fmt)
+    assert code == 0 and "[2, 3, 5, 9, 17, 33, 65, 129, 257, 513]" in out
+    assert time.perf_counter() - start < 1.0
+
+
 def test_quillen_below_6_is_usage_error(capsys):
     assert main(["quillen", "--n", "5"]) == 2
 
@@ -370,6 +383,11 @@ REPORT_DIGESTS = [
     # theta_8 and theta_9 at n = 17 and 18; the benchmark's reference digest
     (("quillen", "--n", "6..18", "--full-j", "--format", "json"),
      "468b2710b946e1dc6851d87d583c77d198c665d2f9907d130c3e7b6985cfcd70"),
+    # md and plain print the J degrees only, so --full-j up to n = 20 is cheap
+    (("quillen", "--n", "17..20", "--full-j", "--format", "md"),
+     "0db14658335227aac41d3537a8f75ef792f93400406a828dbb18b8f73501161a"),
+    (("quillen", "--n", "17..20", "--full-j", "--format", "plain"),
+     "b2813ef2c6341067ad42b027f383e5c8778d89b1a0bad5e51e7e4746091a0cad"),
 ]
 
 

@@ -136,6 +136,19 @@ def test_verify_all_order_and_verdict_pattern():
             assert r.complexified["indecomposability"] == DECOMPOSABLE
 
 
+def test_square_relation_is_the_complexification_check(monkeypatch):
+    # c = w^2 is checked through the integral class of the complexification,
+    # so a failing check must fail exactly the SW-kind cases
+    monkeypatch.setattr("spinchern.exceptional.complexification_check", lambda w, c: False)
+    reports = {r.group: r.to_dict() for r in verify_all()}
+    for group in ("F4", "E8"):
+        assert reports[group]["verdicts"]["square_relation"] is False
+        assert reports[group]["passed"] is False
+    for group in ("E6", "E7"):
+        assert reports[group]["verdicts"]["square_relation"] == "n/a"
+        assert reports[group]["passed"] is True
+
+
 def test_trivial_summand_invariance():
     # adding trivial summands must not change any class
     for case in builtin_cases():

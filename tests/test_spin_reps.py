@@ -164,20 +164,6 @@ def test_closed_form_spin16_lambda2():
     assert closed_form_f1_lambda(SpinGroup(16), 2) == (4 * comb(7, 2), 2 * comb(7, 1))
 
 
-def test_closed_form_matches_brute_force_all_ranks():
-    # the closed form collapses the elementary symmetric function; the brute
-    # force oracle expands it fully on T^m and substitutes.  Both must agree
-    # for every rank and index.
-    for m in range(3, 13):
-        g = SpinGroup(2 * m + 1)  # odd groups carry the widest lambda range
-        for i in range(1, m):
-            alpha, beta = closed_form_f1_lambda(g, i)
-            brute = circle_oracle(g, lam(i))
-            assert brute == {0: alpha, 2: beta, -2: beta}, (m, i)
-            assert circle_weights(g, lam(i)) == brute, (m, i)
-            assert alpha + 2 * beta == dimension(g, lam(i))
-
-
 def test_circle_characters_match_torus_oracle():
     # circle_weights reads the closed forms; the oracle expands every symbol
     # on T^m and substitutes, for every symbol kind and both conventions

@@ -21,6 +21,7 @@ from math import comb
 import pytest
 
 from oracles import MultiLaurent, elementary_symmetric, sq_by_factors
+from spinchern.spin_reps import quillen_h
 from spinchern.steenrod import (
     GradedPolyF2,
     binom_mod2,
@@ -349,28 +350,32 @@ def test_binom_mod2_negative_top():
 
 def test_theta2_is_w3():
     for n in range(6, 17):
-        pres = j_ideal_generators(n)
-        assert pres.generators[0] == w(2, n=n)
-        assert pres.generators[1] == w(3, n=n)
+        gens = j_ideal_generators(n)
+        assert gens[0] == w(2, n=n)
+        assert gens[1] == w(3, n=n)
+
+
+def degrees(gens):
+    return tuple(g.degree() for g in gens)
 
 
 def test_j_degrees():
-    assert j_ideal_generators(10).degrees == (2, 3, 5, 9, 17)
-    assert j_ideal_generators(9).degrees == (2, 3, 5, 9)
-    assert j_ideal_generators(16).degrees == (2, 3, 5, 9, 17, 33, 65)
+    assert degrees(j_ideal_generators(10)) == (2, 3, 5, 9, 17)
+    assert degrees(j_ideal_generators(9)) == (2, 3, 5, 9)
+    assert degrees(j_ideal_generators(16)) == (2, 3, 5, 9, 17, 33, 65)
 
 
 def test_j_degrees_match_recursion():
     for n in range(6, 17):
-        pres = j_ideal_generators(n)
-        assert list(pres.degrees) == j_degrees_expected(pres.h)
-        assert len(pres.generators) == pres.h
+        gens, h = j_ideal_generators(n), quillen_h(n).h
+        assert list(degrees(gens)) == j_degrees_expected(h)
+        assert len(gens) == h
 
 
 def test_theta4_frozen_value():
     # degree-9 generator for any n >= 9, frozen from the roots oracle run
     # over Sq^4(w2 w3 + w5)
-    theta4 = j_ideal_generators(12).generators[3]
+    theta4 = j_ideal_generators(12)[3]
     expected = GradedPolyF2.from_monomials(
         12,
         [(2, 2, 2, 3), (2, 2, 5), (2, 7), (3, 3, 3), (3, 6), (4, 5), (9,)],
@@ -380,29 +385,41 @@ def test_theta4_frozen_value():
 
 def test_theta4_matches_roots_oracle():
     n = 9
-    theta3 = j_ideal_generators(n).generators[2]  # w2 w3 + w5
+    theta3 = j_ideal_generators(n)[2]  # w2 w3 + w5
     want = GradedPolyF2.zero(n)
     for mon in theta3.monomials():
         want = want + oracle_sq_monomial(4, mon, n)
-    assert drop_w1(want) == j_ideal_generators(n).generators[3]
+    assert drop_w1(want) == j_ideal_generators(n)[3]
 
 
 def test_presentation_shape_small_n():
     for n in range(6, 18):
-        pres = j_ideal_generators(n)
-        assert len(pres.generators) == pres.h
-        assert pres.generators[0] == w(2, n=n)
-        assert all(g.is_homogeneous() for g in pres.generators)
+        gens = j_ideal_generators(n)
+        assert len(gens) == quillen_h(n).h
+        assert gens[0] == w(2, n=n)
+        assert all(g.is_homogeneous() for g in gens)
 
 
 def test_presentation_shape_large_n_depth_limited():
     # the degree-257 and degree-513 generators exist but are too large to
     # expand routinely; check the count structurally and the prefix exactly
     for n in (18, 19, 20):
-        h = j_ideal_generators(n, depth=1).h
+        h = quillen_h(n).h
         assert len(j_degrees_expected(h)) == h
-        pres = j_ideal_generators(n, depth=5)
-        assert [g.degree() for g in pres.generators] == [2, 3, 5, 9, 17]
+        gens = j_ideal_generators(n, max_degree=17)
+        assert [g.degree() for g in gens] == [2, 3, 5, 9, 17]
+
+
+def test_max_degree_edges():
+    # the cutoff is inclusive, and below deg w_2 = 2 nothing is expanded
+    for n in (6, 9, 20):
+        assert j_ideal_generators(n, max_degree=1) == ()
+        assert j_ideal_generators(n, max_degree=-5) == ()
+        assert j_ideal_generators(n, max_degree=2) == (w(2, n=n),)
+    assert degrees(j_ideal_generators(20, max_degree=16)) == (2, 3, 5, 9)
+    assert degrees(j_ideal_generators(20, max_degree=17)) == (2, 3, 5, 9, 17)
+    # a cutoff past the top degree returns all h, as None does
+    assert j_ideal_generators(9, max_degree=10**6) == j_ideal_generators(9)
 
 
 @pytest.mark.parametrize(
@@ -417,7 +434,7 @@ def test_presentation_shape_large_n_depth_limited():
 )
 def test_degree_129_generators_frozen(n, counts, digest):
     # theta_1..theta_8 (degree 129), frozen from the per-factor engine
-    gens = j_ideal_generators(n, depth=8).generators
+    gens = j_ideal_generators(n, max_degree=129)
     assert [len(g.terms) for g in gens] == counts
     assert hashlib.sha256(str(gens[7]).encode()).hexdigest() == digest
 
@@ -426,7 +443,7 @@ def test_truncation_consistency_across_n():
     big = j_ideal_generators(16)
     for n in (13, 14, 15):
         small = j_ideal_generators(n)
-        for a, b in zip(big.generators, small.generators):
+        for a, b in zip(big, small):
             truncated = GradedPolyF2.from_monomials(
                 n, [m for m in a.monomials() if all(i <= n for i in m)]
             )
