@@ -10,6 +10,13 @@ Four subcommands:
 * ``restrict``  -- restrict an expression to the circle and print its
                    classes.
 
+Every subcommand takes ``--format`` and ``--out``.  An option is offered
+only where it can change a result: ``--convention`` for ``theorem1`` and
+``restrict``, ``--cutoff`` for ``restrict``.  ``prop2`` and ``theorem1``
+cut each series at twice the degree of the class they check; mod 2 a class
+depends only on the count of odd circle weights, which neither the cutoff
+nor the odd-n lambda convention (it moves the weights 0 and +-2) changes.
+
 Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error,
 an input over one of the ``MAX_*`` budgets (estimated from closed forms
 before any work), or a report that cannot be written (``--out`` or stdout).
@@ -55,12 +62,11 @@ DEFAULT_J_POLY_LIMIT = 65
 # Input budgets, estimated from closed forms and checked before any work.
 MAX_N = 1024  # quillen and restrict; a quillen row at n holds ~n^2/8 bits of degrees
 MAX_QUILLEN_ROWS = 128  # a row costs ~0.03 s and 82-132 KB of json report (n 6..1024)
-# --full-j up to n = 20: its degree-513 generator has 2,534,841 terms, and
+# json --full-j up to n = 20: its degree-513 generator has 2,534,841 terms, and
 # `quillen --n 20 --full-j` took 15 s and 690 MiB peak RSS (2-vCPU VM,
 # Python 3.11), most of it the packed terms and the printed report
 MAX_FULL_J_DEGREE = 513
 MAX_SERIES_TERMS = 2**18  # coefficients of one truncated series
-MAX_SWEEP_TERMS = 2**23  # coefficients of all the series of one prop2 sweep
 MAX_SERIES_BITS = 2**24  # one integral series, all its coefficients together
 MAX_COEFF_BITS = 14_000  # one printed integer; Python prints at most 4300 digits
 MAX_PRODUCT_WORK = 2**28  # coefficient products, each weighted by 8 + its 64-bit limbs
@@ -68,14 +74,6 @@ MAX_PRODUCT_WORK = 2**28  # coefficient products, each weighted by 8 + its 64-bi
 
 class UsageError(Exception):
     pass
-
-
-def _check_terms(cutoff: int | None) -> None:
-    if cutoff is not None and cutoff + 1 > MAX_SERIES_TERMS:
-        raise UsageError(
-            f"cutoff {cutoff} needs {cutoff + 1} coefficients per series; "
-            f"the budget is {MAX_SERIES_TERMS}"
-        )
 
 
 def _log2_binom(n: int, k: int) -> float:
@@ -116,7 +114,10 @@ def _check_chern_budget(weights: dict[int, int], cutoff: int) -> None:
 
     The widest printed integer is a Chern coefficient or a multiplicity.
     """
-    _check_terms(cutoff)
+    if cutoff + 1 > MAX_SERIES_TERMS:
+        raise UsageError(
+            f"cutoff {cutoff} needs {cutoff + 1} coefficients; the budget is {MAX_SERIES_TERMS}"
+        )
     bits, products = _chern_bounds(weights, cutoff)
     bits = max(bits, max((abs(a) for a in weights.values()), default=0).bit_length())
     if (
@@ -147,39 +148,32 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     return lo, hi
 
 
-def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict:
+def run_prop2(m_lo: int, m_hi: int) -> dict:
     """Check that the mod-2 total Chern class of every generator's circle
-    restriction is 1 for the exterior powers and 1 + u^dim for the spinors."""
+    restriction is 1 for the exterior powers and 1 + u^dim for the spinors.
+
+    Each series is cut at twice the spinor dimension, past the top class.
+    """
     if not 3 <= m_lo <= m_hi <= 16:
         raise UsageError(f"m range must sit inside 3..16, got {m_lo}..{m_hi}")
-    _check_terms(cutoff)
-    plan = []  # one (m, group, symbol, spinor dimension, cutoff) per series
+    checks = []
     for m in range(m_lo, m_hi + 1):
         for n in (2 * m, 2 * m + 1):
             g = SpinGroup(n)
             spin_dim = 2 ** (m - 1) if g.is_even else 2**m
-            cut = cutoff if cutoff is not None else 2 * spin_dim
-            if cut < spin_dim:
-                raise UsageError(
-                    f"cutoff {cut} cannot see the top class at u^{spin_dim} for n={n}"
-                )
+            cut = 2 * spin_dim
             symbols: list[RepSymbol] = [lam(i) for i in range(1, g.max_lambda_index() + 1)]
             symbols += [DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA]
-            plan += [(m, g, sym, spin_dim, cut) for sym in symbols]
-    terms = sum(cut + 1 for *_, cut in plan)
-    if terms > MAX_SWEEP_TERMS:
-        raise UsageError(f"the sweep needs {terms} coefficients; the budget is {MAX_SWEEP_TERMS}")
-    checks = []
-    for m, g, sym, spin_dim, cut in plan:
-        series = total_chern(circle_weights(g, sym, convention), cut, "F2")
-        sparse = {0: 1} if sym.kind == "lambda" else {0: 1, spin_dim: 1}
-        expected = TruncatedPoly.from_dict("F2", cut, sparse)
-        checks.append({"m": m, "n": g.n, "symbol": str(sym), "computed": str(series),
-                       "expected": str(expected), "pass": series == expected})
+            for sym in symbols:
+                series = total_chern(circle_weights(g, sym, PAPER_LITERAL), cut, "F2")
+                sparse = {0: 1} if sym.kind == "lambda" else {0: 1, spin_dim: 1}
+                expected = TruncatedPoly.from_dict("F2", cut, sparse)
+                checks.append({"m": m, "n": n, "symbol": str(sym), "computed": str(series),
+                               "expected": str(expected), "pass": series == expected})
     return {
         "command": "prop2",
         "tool_version": __version__,
-        "convention": convention,
+        "convention": PAPER_LITERAL,
         "m_range": f"{m_lo}..{m_hi}",
         "checks": checks,
         "total": len(checks),
@@ -188,12 +182,8 @@ def run_prop2(m_lo: int, m_hi: int, convention: str, cutoff: int | None) -> dict
     }
 
 
-def run_theorem1(groups: list[str], convention: str, cutoff: int | None) -> dict:
-    _check_terms(cutoff)
-    try:
-        reports = verify_all(groups, cutoff=cutoff, convention=convention)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def run_theorem1(groups: list[str], convention: str) -> dict:
+    reports = verify_all(groups, convention=convention)
     return {
         "command": "theorem1",
         "tool_version": __version__,
@@ -207,12 +197,13 @@ def run_quillen(n_lo: int, n_hi: int, full_j: bool, generators: bool = True) -> 
     """The Quillen table rows for n_lo..n_hi.  With ``generators`` each row
     also carries the ideal generator polynomials up to degree
     ``DEFAULT_J_POLY_LIMIT`` (every degree under ``full_j``); md and plain
-    reports print only their degrees, so they expand none."""
+    reports print only their degrees, so they expand none, and only json
+    reports meet the ``--full-j`` budget."""
     if not 6 <= n_lo <= n_hi <= MAX_N:
         raise UsageError(f"n range must sit inside 6..{MAX_N}, got {n_lo}..{n_hi}")
     if n_hi - n_lo + 1 > MAX_QUILLEN_ROWS:
         raise UsageError(f"{n_hi - n_lo + 1} rows requested; the budget is {MAX_QUILLEN_ROWS}")
-    if full_j and 2 ** (quillen_h(n_hi).h - 1) + 1 > MAX_FULL_J_DEGREE:
+    if generators and full_j and 2 ** (quillen_h(n_hi).h - 1) + 1 > MAX_FULL_J_DEGREE:
         raise UsageError(f"--full-j stops at degree {MAX_FULL_J_DEGREE} (n <= 20), got n = {n_hi}")
     max_degree = None if full_j else DEFAULT_J_POLY_LIMIT
     rows = []
@@ -423,37 +414,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, default_convention: str) -> None:
-        p.add_argument("--convention", choices=CONVENTIONS, default=default_convention,
-                       help="odd-n lambda convention (default: %(default)s)")
-        p.add_argument("--cutoff", type=int, default=None,
-                       help="truncation cutoff in powers of u (default: task-derived)")
+    def subcommand(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("json", "md", "plain"), default="plain",
                        dest="fmt", help="report format (default: %(default)s)")
         p.add_argument("--out", default=None, help="write the report to this path")
+        return p
 
-    p = sub.add_parser("prop2", help="sweep the mod-2 total Chern class identities")
+    p = subcommand("prop2", "sweep the mod-2 total Chern class identities")
     p.add_argument("--m", default="3..12", help="torus rank range A..B (default: %(default)s)")
-    add_common(p, PAPER_LITERAL)
 
-    p = sub.add_parser("theorem1", help="verify the exceptional-group top classes")
+    p = subcommand("theorem1", "verify the exceptional-group top classes")
     p.add_argument("--group", choices=("all",) + GROUP_ORDER, default="all")
-    add_common(p, VECTOR_REP)
+    p.add_argument("--convention", choices=CONVENTIONS, default=VECTOR_REP,
+                   help="odd-n lambda convention (default: %(default)s)")
 
-    p = sub.add_parser("quillen", help="spinor type, h, deg z and ideal generators")
+    p = subcommand("quillen", "spinor type, h, deg z and ideal generators")
     p.add_argument("--n", required=True, help="n or range A..B")
     p.add_argument("--full-j", action="store_true",
                    help="in json reports, expand ideal generator polynomials of every "
-                        "degree (n <= 20)")
-    p.add_argument("--format", choices=("json", "md", "plain"), default="plain", dest="fmt")
-    p.add_argument("--out", default=None)
+                        "degree (n <= 20); md and plain reports expand none")
 
-    p = sub.add_parser("restrict", help="restrict an expression to the circle")
+    p = subcommand("restrict", "restrict an expression to the circle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("expression", nargs="?",
                    help="e.g. '8 + lambda2 + delta+' or '2*lambda1 + delta-'; "
                         "one that starts with '-' goes after '--'")
-    add_common(p, PAPER_LITERAL)
+    p.add_argument("--convention", choices=CONVENTIONS, default=PAPER_LITERAL,
+                   help="odd-n lambda convention (default: %(default)s)")
+    p.add_argument("--cutoff", type=int, default=None,
+                   help="truncation cutoff in powers of u (default: task-derived)")
     return parser
 
 
@@ -471,11 +461,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "prop2":
             m_lo, m_hi = _parse_range(args.m, "m")
-            report = run_prop2(m_lo, m_hi, args.convention, args.cutoff)
+            report = run_prop2(m_lo, m_hi)
             code = 0 if report["all_passed"] else MISMATCH
         elif args.command == "theorem1":
             groups = list(GROUP_ORDER) if args.group == "all" else [args.group]
-            report = run_theorem1(groups, args.convention, args.cutoff)
+            report = run_theorem1(groups, args.convention)
             code = 0 if report["all_passed"] else MISMATCH
         elif args.command == "quillen":
             n_lo, n_hi = _parse_range(args.n, "n")

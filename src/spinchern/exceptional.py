@@ -202,30 +202,21 @@ def dimension_audit(case: ExceptionalCase) -> dict:
     return entry
 
 
-def verify_case(
-    case: ExceptionalCase,
-    cutoff: int | None = None,
-    convention: str = VECTOR_REP,
-) -> VerificationReport:
+def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> VerificationReport:
     """Run the whole pipeline for one case and report every verdict.
 
     Steps: build the circle character; take the total class of the matching
     kind (plus the complexified Chern class for SW-kind cases, checking the
     square relation c = w^2 against the integral class); check the total
     class is exactly 1 plus the expected top class; classify the top class
-    in the image subring; audit the dimension.  Mismatches produce a failing
-    report with the computed witness, never an exception.
+    in the image subring; audit the dimension.  Every series is cut at twice
+    the highest u-power checked (the complexified top class for SW kind).
+    Mismatches produce a failing report with the computed witness, never an
+    exception.
     """
     h = quillen_h(case.spin_n).h
     top_u = case.top_u_exponent
-
-    max_u = case.top_degree if case.class_kind == SW_KIND else top_u
-    if cutoff is None:
-        cutoff = 2 * max_u
-    if cutoff < max_u:
-        raise ValueError(
-            f"cutoff {cutoff} cannot see the top class at u^{max_u} for {case.group}"
-        )
+    cutoff = 2 * (case.top_degree if case.class_kind == SW_KIND else top_u)
 
     weights = circle_weights(case.spin_group, case.restriction, convention)
     chern_f2 = total_chern(weights, cutoff, "F2")
@@ -291,15 +282,8 @@ def verify_case(
 
 
 def verify_all(
-    groups: list[str] | None = None,
-    cutoff: int | None = None,
-    convention: str = VECTOR_REP,
+    groups: list[str] | None = None, convention: str = VECTOR_REP
 ) -> list[VerificationReport]:
     """Verify the selected groups (all four by default) in canonical order."""
     selected = groups or list(GROUP_ORDER)
-    reports = []
-    for name in GROUP_ORDER:
-        if name in selected:
-            case = get_case(name)
-            reports.append(verify_case(case, cutoff=cutoff, convention=convention))
-    return reports
+    return [verify_case(get_case(name), convention) for name in GROUP_ORDER if name in selected]

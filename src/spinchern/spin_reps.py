@@ -294,12 +294,10 @@ def spinor_type(n: int) -> str:
 _RADON_HURWITZ_OFFSETS = (-1, 0, 1, 2, 2, 3, 3, 3)
 
 # An alternative tabulation of h sometimes quoted alongside the type table.
-# At residues 1, 3, 5, 7 (mod 8) it is inconsistent with deg z = 2^h (it
-# disagrees with the real spinor dimension); kept only so reports can flag
-# the discrepancy.
+# Where it differs from the rule above (residues 1, 3, 5, 7 mod 8) it is
+# inconsistent with deg z = 2^h, the real spinor dimension; kept only so
+# reports can flag the discrepancy.
 _TABLE_VARIANT_OFFSETS = (-1, -1, 1, 1, 2, 2, 3, 2)
-
-_DISCREPANT_RESIDUES = (1, 3, 5, 7)
 
 
 @dataclass(frozen=True)
@@ -329,7 +327,7 @@ def quillen_h(n: int) -> SpinorTypeInfo:
     h = 4 * k + _RADON_HURWITZ_OFFSETS[l]
     table_h = 4 * k + _TABLE_VARIANT_OFFSETS[l]
     note = None
-    if l in _DISCREPANT_RESIDUES:
+    if table_h != h:
         note = (
             f"tabulated h = {table_h} for n = {n} is inconsistent with the real "
             f"spinor dimension 2^{h}; using h = {h}"

@@ -2,9 +2,11 @@
 
 None of this is used by the package.  :class:`MultiLaurent` holds Laurent
 polynomials in several variables over Z, :func:`elementary_symmetric` builds
-symmetric functions of them, and :func:`character_on_Tm` expands the full
-maximal-torus character of a representation-ring symbol (up to 3^m terms),
-which :func:`circle_oracle` collapses to the first circle factor.  The
+every symmetric function of them up to a degree in one pass, and
+:func:`character_on_Tm` expands the full maximal-torus character of a
+representation-ring symbol (up to 3^m terms), which :func:`circle_oracle`
+collapses to the first circle factor; :func:`lambda_characters` expands
+every exterior power at once.  The
 ``series_*`` functions are the truncated-series operations the library no
 longer needs: powers, inversion and truncation of a ``TruncatedPoly``.
 :func:`sq_by_factors` applies a Steenrod square one factor at a time on
@@ -224,10 +226,11 @@ class MultiLaurent:
         return f"MultiLaurent({self.nvars}, '{self}')"
 
 
-def elementary_symmetric(values: list[MultiLaurent], i: int) -> MultiLaurent:
-    """The i-th elementary symmetric function of the given polynomials.
+def elementary_symmetric(values: list[MultiLaurent], i: int) -> list[MultiLaurent]:
+    """The elementary symmetric functions e_0, ..., e_i of the given
+    polynomials, all from one pass over them.
 
-    e_0 = 1 and e_i = 0 for i beyond the list length (empty sum).  All
+    e_0 = 1 and e_j = 0 for j beyond the list length (empty sum).  All
     values must share a variable count.
     """
     if i < 0:
@@ -238,14 +241,12 @@ def elementary_symmetric(values: list[MultiLaurent], i: int) -> MultiLaurent:
     for v in values:
         if v.nvars != nvars:
             raise ValueError("all values must share a variable count")
-    if i > len(values):
-        return MultiLaurent.zero(nvars)
-    # e[j] after processing k values is e_j(values[:k])
+    # e[j] after processing k values is e_j(values[:k]), zero for j > k
     e = [MultiLaurent.constant(nvars, 1)] + [MultiLaurent.zero(nvars)] * i
-    for v in values:
-        for j in range(i, 0, -1):
+    for k, v in enumerate(values, 1):
+        for j in range(min(i, k), 0, -1):
             e[j] = e[j] + e[j - 1] * v
-    return e[i]
+    return e
 
 
 # ---- torus characters ---------------------------------------------------------
@@ -271,13 +272,7 @@ def character_on_Tm(
         top = m - 2 if g.is_even else m - 1
         if not 1 <= sym.index <= top:
             raise ValueError(f"lambda{sym.index} is outside 1..{top} for {g}")
-        args = [
-            MultiLaurent.variable(m, j, 2) + MultiLaurent.variable(m, j, -2)
-            for j in range(m)
-        ]
-        if convention == VECTOR_REP and not g.is_even:
-            args.append(MultiLaurent.constant(m, 1))
-        return elementary_symmetric(args, sym.index)
+        return lambda_characters(g, sym.index, convention)[-1]
     if (sym.kind == "delta") == g.is_even:
         raise ValueError(f"{sym.kind} is not a generator for {g}")
     want = {"delta+": (0,), "delta-": (1,), "delta": (0, 1)}[sym.kind]
@@ -286,6 +281,19 @@ def character_on_Tm(
         if bin(bits).count("1") % 2 in want:
             terms.append((tuple(-1 if bits >> j & 1 else 1 for j in range(m)), 1))
     return MultiLaurent(m, terms)
+
+
+def lambda_characters(
+    g: SpinGroup, top: int, convention: str = PAPER_LITERAL
+) -> list[MultiLaurent]:
+    """The T^m characters of lambda_0, ..., lambda_top, from one expansion:
+    the elementary symmetric functions of the z_j^2 + z_j^-2 (and of a
+    constant 1 under ``vector-rep`` at odd n)."""
+    m = g.m
+    args = [MultiLaurent.variable(m, j, 2) + MultiLaurent.variable(m, j, -2) for j in range(m)]
+    if convention == VECTOR_REP and not g.is_even:
+        args.append(MultiLaurent.constant(m, 1))
+    return elementary_symmetric(args, top)
 
 
 def weight_map(ch: MultiLaurent) -> dict[int, int]:

@@ -15,7 +15,7 @@ from spinchern.char_classes import (
     total_sw_real,
     vanishing_on_bso_check,
 )
-from oracles import circle_oracle
+from oracles import lambda_characters, weight_map
 from spinchern.cli import run_prop2
 from spinchern.exceptional import (
     DECOMPOSABLE,
@@ -54,7 +54,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_mod2_chern_sweep():
     t0 = time.perf_counter()
-    report = run_prop2(3, 12, PAPER_LITERAL, None)
+    report = run_prop2(3, 12)
     elapsed = time.perf_counter() - t0
     ok = report["all_passed"] and elapsed < 10.0
     _report(
@@ -69,11 +69,13 @@ def test_criterion_02_closed_form_vs_brute_force():
     checked = 0
     for m in range(3, 13):
         g = SpinGroup(2 * m + 1)
+        # one T^m expansion of every lambda_i, each collapsed to the first circle
+        characters = lambda_characters(g, m - 1)
         for i in range(1, m):
             alpha, beta = closed_form_f1_lambda(g, i)
             assert alpha == 2**i * comb(m - 1, i)
             assert beta == 2 ** (i - 1) * comb(m - 1, i - 1)
-            brute = circle_oracle(g, lam(i))
+            brute = weight_map(characters[i].substitute_ones(0))
             assert brute == {0: alpha, 2: beta, -2: beta}, (m, i)
             assert circle_weights(g, lam(i)) == brute, (m, i)
             assert alpha + 2 * beta == dimension(g, lam(i)), (m, i)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import doctest
 import hashlib
 import importlib
 import io
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import spinchern
-from spinchern import cli
 from spinchern.char_classes import total_chern
 from spinchern.cli import _chern_bounds, main
 from spinchern.laurent import TruncatedPoly
@@ -93,15 +94,17 @@ def test_quillen_n16(capsys):
 
 @pytest.mark.parametrize("fmt", ["md", "plain"])
 def test_md_and_plain_quillen_take_no_square(fmt, capsys, monkeypatch):
-    # neither format prints a generator polynomial, so none is expanded
+    # neither format prints a generator polynomial, so none is expanded, and
+    # --full-j (refused past n = 20 for json) changes nothing
     def refuse(i, p):
         raise AssertionError(f"Sq^{i} taken for a {fmt} report")
 
     monkeypatch.setattr("spinchern.steenrod.sq_bso", refuse)
     start = time.perf_counter()
-    code, out = run_cli(capsys, "quillen", "--n", "6..20", "--full-j", "--format", fmt)
+    code, out = run_cli(capsys, "quillen", "--n", "6..21", "--full-j", "--format", fmt)
     assert code == 0 and "[2, 3, 5, 9, 17, 33, 65, 129, 257, 513]" in out
     assert time.perf_counter() - start < 1.0
+    assert out == run_cli(capsys, "quillen", "--n", "6..21", "--format", fmt)[1]
 
 
 def test_quillen_below_6_is_usage_error(capsys):
@@ -158,10 +161,6 @@ def test_restrict_symbol_invalid_for_parity(capsys):
     assert main(["restrict", "--n", "10", "delta"]) == 2
 
 
-def test_theorem1_cutoff_too_small_is_usage_error(capsys):
-    assert main(["theorem1", "--group", "E8", "--cutoff", "8"]) == 2
-
-
 def test_restrict_negative_cutoff_is_usage_error(capsys):
     assert main(["restrict", "--n", "9", "delta", "--cutoff", "-1"]) == 2
 
@@ -198,8 +197,6 @@ def test_restrict_virtual_with_moving_weights_on_both_sides(capsys):
     [
         ("restrict", "--n", "201", "delta"),
         ("restrict", "--n", "9", "delta", "--cutoff", "99999999999999999999"),
-        ("prop2", "--m", "3..3", "--cutoff", "99999999999999999999"),
-        ("theorem1", "--cutoff", "99999999999999999999"),
     ],
 )
 def test_unallocatable_cutoff_is_usage_error(argv, capsys):
@@ -213,10 +210,12 @@ def test_unallocatable_cutoff_is_usage_error(argv, capsys):
     [
         ("restrict", "--n", "40", "delta+"),
         ("restrict", "--n", "14", "--cutoff", "100000000", "lambda1"),
-        ("theorem1", "--cutoff", "100000000"),
-        ("prop2", "--m", "3..3", "--cutoff", "100000000"),
-        # every series fits, but the sweep needs 266 * 2^18 coefficients
-        ("prop2", "--m", "3..16", "--cutoff", "262143"),
+        # a multiplicity that drives the derived cutoff past the series budget
+        ("restrict", "--n", "9", "99999999999999999999*lambda1"),
+        # 15,170-bit coefficients, over the 14,000 a printed integer may have
+        ("restrict", "--n", "30", "--cutoff", "4000", "delta+"),
+        # 203-bit coefficients, but (cutoff + 1)^2 products of them
+        ("restrict", "--n", "9", "--cutoff", "60000", "8 - delta"),
         # a dense virtual series: (cutoff + 1)^2 products of 4000-bit integers
         ("restrict", "--n", "9", "--convention", "vector-rep", "--cutoff", "4000",
          "16 - lambda1"),
@@ -224,7 +223,7 @@ def test_unallocatable_cutoff_is_usage_error(argv, capsys):
         ("quillen", "--n", "6..2000000"),
         ("quillen", "--n", "6..134"),
         ("quillen", "--n", "40000"),
-        ("quillen", "--n", "6..21", "--full-j"),
+        ("quillen", "--n", "6..21", "--full-j", "--format", "json"),
     ],
 )
 def test_over_budget_input_is_refused_before_work(argv, capsys):
@@ -238,10 +237,6 @@ def test_over_budget_input_is_refused_before_work(argv, capsys):
 def test_budgets_admit_the_largest_documented_runs(capsys):
     # the benchmark's costliest restrict item, README's quillen range and a
     # --full-j range; prop2 --m 16..16 runs in the test below
-    # prop2 --m 3..16 at its default cutoffs: m series of 2^m + 1 coefficients
-    # at n = 2m and m series of 2^(m+1) + 1 at n = 2m + 1
-    sweep = sum(m * (2**m + 1 + 2 ** (m + 1) + 1) for m in range(3, 17))
-    assert sweep == 5_898_482 and sweep <= cli.MAX_SWEEP_TERMS
     argv = ("restrict", "--n", "17", "--cutoff", "512", "--convention", "vector-rep",
             "--format", "json", "3*lambda6 + 3*lambda7 - 3*delta")
     assert run_cli(capsys, *argv)[0] == 0
@@ -263,15 +258,27 @@ def test_chern_bounds_cover_the_computed_series(weights, cutoff):
 ORACLE_NAMES = {"MultiLaurent", "character_on_Tm", "elementary_symmetric", "oracles"}
 
 
+def _package_modules() -> list:
+    return [spinchern] + [
+        importlib.import_module(f"spinchern.{info.name}")
+        for info in pkgutil.iter_modules(spinchern.__path__)
+    ]
+
+
+def test_docstring_examples_hold():
+    attempted = 0
+    for module in _package_modules() + [oracles]:
+        result = doctest.testmod(module)
+        assert result.failed == 0, module.__name__
+        attempted += result.attempted
+    assert attempted >= 5
+
+
 def test_cli_never_expands_full_torus_characters(capsys):
     # circle characters come from the closed forms; the T^m expansion and its
     # Laurent algebra live in tests/oracles.py only (at m = 16 the expansion
     # would not fit in memory), so no package module defines or imports them
-    modules = [spinchern] + [
-        importlib.import_module(f"spinchern.{info.name}")
-        for info in pkgutil.iter_modules(spinchern.__path__)
-    ]
-    for module in modules:
+    for module in _package_modules():
         assert not ORACLE_NAMES & vars(module).keys(), module.__name__
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
             if isinstance(node, ast.ImportFrom):
@@ -290,6 +297,23 @@ def test_cli_never_expands_full_torus_characters(capsys):
         assert run_cli(capsys, "theorem1", "--convention", convention)[0] == 0
     argv = ("restrict", "--n", "17", "--cutoff", "64", "3*delta + lambda1 - 2*lambda7")
     assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # mod 2 neither a cutoff past the top class nor the odd-n lambda
+        # convention can change a prop2 or theorem1 result
+        ("prop2", "--cutoff", "64"),
+        ("prop2", "--convention", "vector-rep"),
+        ("theorem1", "--cutoff", "300"),
+    ],
+)
+def test_options_that_change_no_result_are_not_offered(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():
@@ -328,8 +352,6 @@ THEOREM1_DIGESTS = [
      "a68f75497e960e24ef7ee5b4fa831259cf61e615a220a2795caf71666736dc25"),
     (("--group", "E8", "--format", "json"),
      "c481effda542e9b42b20fb5a7edb70005cc7043b096530d996f853fdd47ca0f4"),
-    (("--cutoff", "300", "--format", "json"),
-     "ce986be2f22d3fdce6a6f39e00e97d2a6d2966a90a8c11821a1743828935d328"),
 ]
 
 
@@ -350,8 +372,9 @@ REPORT_DIGESTS = [
      "8d91d4d87b75cb57b55b5449c8a3e8973125e1fb0c0e8d0fadfde27fbbc3e8f6"),
     (("prop2", "--m", "3..12", "--format", "plain"),
      "47910f2a2480316f643563485faeca11da8e2844a32aee530e169f72c0919d78"),
-    (("prop2", "--m", "3..12", "--convention", "vector-rep", "--format", "json"),
-     "91c9d87796b4c20162dbe732f054b014964c3b7df724b67ed7d5f1abd42a1525"),
+    # the top of the prop2 range, at the cutoffs it derives
+    (("prop2", "--m", "13..16", "--format", "md"),
+     "caee14679d8e97b9b513ea83f50fad6c6085e3ebd201be432de49a600a3128b8"),
     (("quillen", "--n", "6..16", "--format", "json"),
      "3fdbc448f9b6855e6433a0aedecf38065638904c7cdde470c7fa31d0e75ceeda"),
     (("quillen", "--n", "6..16", "--format", "md"),
@@ -547,7 +570,7 @@ _ARGVS = st.one_of(
 @settings(max_examples=120, deadline=None)
 def test_cli_fuzz_ends_in_a_documented_exit_code(argv, cutoff, extra):
     argv = list(argv) + list(extra)
-    if cutoff is not None:
+    if cutoff is not None and argv[0] == "restrict":  # the only subcommand with --cutoff
         argv += ["--cutoff", cutoff]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:

@@ -187,11 +187,6 @@ def test_paper_literal_convention_flags_f4_dimension():
     assert any("25" in note for note in report.notes)
 
 
-def test_cutoff_too_small_rejected():
-    with pytest.raises(ValueError):
-        verify_case(get_case("E8"), cutoff=32)
-
-
 def test_failing_case_reports_witness():
     # a wrong expected top degree must fail with notes, not raise
     bogus = ExceptionalCase(

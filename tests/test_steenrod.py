@@ -47,7 +47,7 @@ def _reduce2(p: MultiLaurent) -> MultiLaurent:
 
 def _roots_w(j: int, n: int) -> MultiLaurent:
     ts = [MultiLaurent.variable(n, k) for k in range(n)]
-    return elementary_symmetric(ts, j)
+    return elementary_symmetric(ts, j)[j]
 
 
 def _roots_of_monomial(mon: tuple[int, ...], n: int) -> MultiLaurent:
