@@ -8,7 +8,8 @@ the Whitney formula the total Chern class of the character is the product
 of (1 + k*u)^a_k over its weights for every sign of a_k, a negative power
 being the truncated binomial series.  Mod 2 the factor 1 + k*u is 1 + u
 for odd k and 1 for even k, so the mod-2 class is (1 + u)^N with N the
-signed count of odd weights, read off by Lucas' theorem with no product.
+signed count of odd weights, whose terms Lucas' theorem lists with no
+product and no coefficient row.
 For genuine palindromic characters (coefficient of z^k equal to that of
 z^-k) each conjugate pair {k, -k} is the complexification of one real
 2-plane bundle with total Stiefel-Whitney class 1 + k*u mod 2, which gives
@@ -21,10 +22,10 @@ the mod-2 series: c_k and w_{2k} both read off the u^k coefficient.
 from __future__ import annotations
 
 from math import comb
+from typing import Iterator
 
 from .laurent import TruncatedPoly
 from .spin_reps import PAPER_LITERAL, SpinGroup, circle_weights, lam
-from .steenrod import binom_mod2
 
 WeightMultiset = dict[int, int]
 
@@ -54,6 +55,22 @@ def _binomial_factor(k: int, mult: int, cutoff: int) -> TruncatedPoly:
     return TruncatedPoly("Z", cutoff, coeffs)
 
 
+def _odd_binomials(n: int, cutoff: int) -> Iterator[int]:
+    """The j <= cutoff with binom(n, j) odd, in ascending order.
+
+    By Lucas' theorem binom(n, j) is odd iff j is a 2-adic submask of n.
+    With 2^L > cutoff, (1 + u)^n = (1 + u)^(n mod 2^L) mod (2, u^(2^L)), so
+    the submasks of n's low L bits serve every n, negative ones included.
+    """
+    mask = n & ((1 << cutoff.bit_length()) - 1)
+    j = 0
+    while j <= cutoff:
+        yield j
+        if j == mask:
+            return
+        j = (j - mask) & mask  # the next submask of mask above j
+
+
 def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> TruncatedPoly:
     """Total Chern class: the product of (1 + k*u)^a_k over all weights.
 
@@ -61,14 +78,15 @@ def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> Trunca
     and virtual characters: c(pos - neg) = c(pos) * c(neg)^{-1} by the
     Whitney formula.  ``ring`` is ``"Z"`` for the integral class or
     ``"F2"`` for its mod-2 reduction, which is (1 + u)^N with N the signed
-    count of odd weights: its u^j coefficient is binom(N, j) mod 2, and the
-    row ends at u^N for N >= 0.  Reduction mod 2 is a ring homomorphism, so
-    ``total_chern(w, c, "F2") == mod2(total_chern(w, c))``.
+    count of odd weights.  Its terms are the u^j with binom(N, j) odd, that
+    is, by Lucas' theorem, the j <= cutoff that are 2-adic submasks of
+    N mod 2^L for any 2^L > cutoff; they are enumerated directly, so the F2
+    class costs its number of terms, not its cutoff.  Reduction mod 2 is a
+    ring homomorphism, so ``total_chern(w, c, "F2") == mod2(total_chern(w, c))``.
     """
     if ring == "F2":
         odd = sum(a for k, a in weights.items() if k % 2)
-        top = min(odd, cutoff) if odd >= 0 else cutoff
-        return TruncatedPoly("F2", cutoff, [binom_mod2(odd, j) for j in range(top + 1)])
+        return TruncatedPoly.from_dict("F2", cutoff, dict.fromkeys(_odd_binomials(odd, cutoff), 1))
     out = TruncatedPoly.one(ring, cutoff)
     for k in sorted(weights):
         out = out * _binomial_factor(k, weights[k], cutoff)
@@ -77,7 +95,7 @@ def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> Trunca
 
 def mod2(c: TruncatedPoly) -> TruncatedPoly:
     """Coefficientwise mod-2 reduction of a total class."""
-    return TruncatedPoly("F2", c.cutoff, c.coeffs)
+    return TruncatedPoly.from_dict("F2", c.cutoff, c.terms)
 
 
 def total_sw_real(weights: WeightMultiset, cutoff: int) -> TruncatedPoly:
@@ -99,6 +117,11 @@ def total_sw_real(weights: WeightMultiset, cutoff: int) -> TruncatedPoly:
     return total_chern({k: a for k, a in weights.items() if k > 0}, cutoff, "F2")
 
 
+def _f2_square(p: TruncatedPoly) -> TruncatedPoly:
+    """p^2 for an F2 series: the Frobenius map sends each u^k to u^{2k}."""
+    return TruncatedPoly.from_dict("F2", p.cutoff, {2 * k: 1 for k in p.terms})
+
+
 def complexification_check(weights: WeightMultiset, cutoff: int) -> bool:
     """Verify c_i of the complexification equals w_i squared, coefficientwise.
 
@@ -108,8 +131,7 @@ def complexification_check(weights: WeightMultiset, cutoff: int) -> bool:
     right side is the square of total_sw_real.  Both sides are computed
     independently.
     """
-    sw = total_sw_real(weights, cutoff)
-    return mod2(total_chern(weights, cutoff)) == sw * sw
+    return mod2(total_chern(weights, cutoff)) == _f2_square(total_sw_real(weights, cutoff))
 
 
 def vanishing_on_bso_check(g: SpinGroup, cutoff: int = 32) -> bool:

@@ -9,6 +9,7 @@ import pytest
 
 from spinchern.char_classes import (
     VirtualCharacterError,
+    _f2_square,
     complexification_check,
     is_palindromic,
     mod2,
@@ -20,6 +21,7 @@ from oracles import series_inverse, series_pow
 from spinchern.laurent import TruncatedPoly
 from spinchern.spin_reps import (
     DELTA,
+    DELTA_MINUS,
     DELTA_PLUS,
     RepExpr,
     SpinGroup,
@@ -28,6 +30,7 @@ from spinchern.spin_reps import (
     parse_expr,
     triv,
 )
+from spinchern.steenrod import binom_mod2
 
 
 def one(ring: str, cutoff: int) -> TruncatedPoly:
@@ -235,6 +238,24 @@ def test_f2_class_is_a_power_of_one_plus_u():
     assert total_chern({5: 3}, 8, "F2").sparse() == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
+def test_f2_lucas_terms_match_dense_binomial_row():
+    # the dense row of binom(N, j) mod 2, built as the class once was
+    for n in range(-80, 81):
+        for cutoff in range(70):
+            top = min(n, cutoff) if n >= 0 else cutoff
+            dense = TruncatedPoly("F2", cutoff, [binom_mod2(n, j) for j in range(top + 1)])
+            got = total_chern({1: n}, cutoff, "F2")
+            assert got == dense, (n, cutoff)
+            assert got.coeffs == dense.coeffs, (n, cutoff)
+
+
+def test_f2_spinor_class_at_m16_is_two_terms():
+    cutoff = 2**17
+    for g, sym in ((SpinGroup(32), DELTA_PLUS), (SpinGroup(32), DELTA_MINUS), (SpinGroup(33), DELTA)):
+        dim = sum(circle_weights(g, sym).values())
+        assert total_chern(circle_weights(g, sym), cutoff, "F2").terms == {0: 1, dim: 1}
+
+
 def test_f2_route_matches_integral_route():
     rng = random.Random(13)
     for _ in range(100):
@@ -297,9 +318,10 @@ def test_complexification_random_palindromic():
     for _ in range(200):
         w = random_palindromic_weights(rng)
         assert sum(w.values()) <= 40
-        sw = total_sw_real(w, 64)
-        chern2 = mod2(total_chern(w, 64))
-        assert sw * sw == chern2
+        for cutoff in (64, 11):  # 11 drops the top squares of larger maps
+            sw = total_sw_real(w, cutoff)
+            chern2 = mod2(total_chern(w, cutoff))
+            assert _f2_square(sw) == sw * sw == chern2
 
 
 # ---- vanishing on BSO -------------------------------------------------------------------

@@ -42,6 +42,15 @@ def test_prop2_small_range_passes(capsys):
     assert "identities hold" in out
 
 
+def test_prop2_whole_range_passes(capsys):
+    # every accepted m; the spinor classes at m = 16 are cut at 2^16 and 2^17
+    code, out = run_cli(capsys, "prop2", "--m", "3..16", "--format", "json")
+    report = json.loads(out)
+    assert code == 0
+    assert report["all_passed"]
+    assert report["passed"] == report["total"] == 266
+
+
 def test_prop2_below_regime_is_usage_error(capsys):
     code = main(["prop2", "--m", "2..2"])
     assert code == 2
@@ -411,6 +420,11 @@ REPORT_DIGESTS = [
      "0db14658335227aac41d3537a8f75ef792f93400406a828dbb18b8f73501161a"),
     (("quillen", "--n", "17..20", "--full-j", "--format", "plain"),
      "b2813ef2c6341067ad42b027f383e5c8778d89b1a0bad5e51e7e4746091a0cad"),
+    # the other two formats of the top of the prop2 range
+    (("prop2", "--m", "13..16", "--format", "json"),
+     "3e95cc6540254e83837142245536ee0123faf9199ececceeb2aa9fce40045d95"),
+    (("prop2", "--m", "13..16", "--format", "plain"),
+     "b037d76584f78ae77a86d2c9c8876f0b41719a0a2c70e4960befd1fb9bac8a50"),
 ]
 
 

@@ -305,6 +305,26 @@ def test_trunc_mismatch_errors():
 def test_f2_reduces_coefficients():
     p = TruncatedPoly("F2", 4, [3, -2, 5])
     assert p.coeffs == (1, 0, 1, 0, 0)
+    assert p.terms == {0: 1, 2: 1}
+    assert TruncatedPoly.from_dict("F2", 4, {1: 4, 3: -6}) == TruncatedPoly("F2", 4)
+
+
+@given(
+    st.sampled_from(["Z", "F2"]),
+    st.integers(0, 12),
+    st.lists(st.integers(-9, 9), max_size=16),
+)
+def test_dense_and_sparse_constructors_agree(ring, cutoff, coeffs):
+    dense = TruncatedPoly(ring, cutoff, coeffs)
+    # keys past the cutoff are dropped and the insertion order is irrelevant
+    sparse = TruncatedPoly.from_dict(ring, cutoff, dict(reversed(list(enumerate(coeffs)))))
+    assert dense == sparse
+    assert hash(dense) == hash(sparse)
+    kept = [c & 1 if ring == "F2" else c for c in coeffs[: cutoff + 1]]
+    assert dense.coeffs == tuple(kept + [0] * (cutoff + 1 - len(kept)))
+    assert list(dense.terms.items()) == [(k, c) for k, c in enumerate(kept) if c]
+    assert list(sparse.terms.items()) == list(dense.terms.items())
+    assert dense.sparse() == dense.terms
 
 
 def test_mod2_of_integral_series():
