@@ -49,10 +49,10 @@ def _binomial_factor(k: int, mult: int, cutoff: int) -> TruncatedPoly:
     if k == 0 or mult == 0:
         return TruncatedPoly.one("Z", cutoff)
     if mult > 0:
-        coeffs = [comb(mult, j) * k**j for j in range(min(mult, cutoff) + 1)]
+        terms = {j: comb(mult, j) * k**j for j in range(min(mult, cutoff) + 1)}
     else:
-        coeffs = [comb(j - mult - 1, j) * (-k) ** j for j in range(cutoff + 1)]
-    return TruncatedPoly("Z", cutoff, coeffs)
+        terms = {j: comb(j - mult - 1, j) * (-k) ** j for j in range(cutoff + 1)}
+    return TruncatedPoly("Z", cutoff, terms)
 
 
 def _odd_binomials(n: int, cutoff: int) -> Iterator[int]:
@@ -86,7 +86,7 @@ def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> Trunca
     """
     if ring == "F2":
         odd = sum(a for k, a in weights.items() if k % 2)
-        return TruncatedPoly.from_dict("F2", cutoff, dict.fromkeys(_odd_binomials(odd, cutoff), 1))
+        return TruncatedPoly("F2", cutoff, dict.fromkeys(_odd_binomials(odd, cutoff), 1))
     out = TruncatedPoly.one(ring, cutoff)
     for k in sorted(weights):
         out = out * _binomial_factor(k, weights[k], cutoff)
@@ -95,7 +95,7 @@ def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> Trunca
 
 def mod2(c: TruncatedPoly) -> TruncatedPoly:
     """Coefficientwise mod-2 reduction of a total class."""
-    return TruncatedPoly.from_dict("F2", c.cutoff, c.terms)
+    return TruncatedPoly("F2", c.cutoff, c.terms)
 
 
 def total_sw_real(weights: WeightMultiset, cutoff: int) -> TruncatedPoly:
@@ -119,7 +119,7 @@ def total_sw_real(weights: WeightMultiset, cutoff: int) -> TruncatedPoly:
 
 def _f2_square(p: TruncatedPoly) -> TruncatedPoly:
     """p^2 for an F2 series: the Frobenius map sends each u^k to u^{2k}."""
-    return TruncatedPoly.from_dict("F2", p.cutoff, {2 * k: 1 for k in p.terms})
+    return TruncatedPoly("F2", p.cutoff, {2 * k: 1 for k in p.terms})
 
 
 def complexification_check(weights: WeightMultiset, cutoff: int) -> bool:

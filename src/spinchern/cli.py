@@ -166,8 +166,8 @@ def run_prop2(m_lo: int, m_hi: int) -> dict:
             symbols += [DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA]
             for sym in symbols:
                 series = total_chern(circle_weights(g, sym, PAPER_LITERAL), cut, "F2")
-                sparse = {0: 1} if sym.kind == "lambda" else {0: 1, spin_dim: 1}
-                expected = TruncatedPoly.from_dict("F2", cut, sparse)
+                terms = {0: 1} if sym.kind == "lambda" else {0: 1, spin_dim: 1}
+                expected = TruncatedPoly("F2", cut, terms)
                 checks.append({"m": m, "n": n, "symbol": str(sym), "computed": str(series),
                                "expected": str(expected), "pass": series == expected})
     return {
@@ -182,7 +182,7 @@ def run_prop2(m_lo: int, m_hi: int) -> dict:
     }
 
 
-def run_theorem1(groups: list[str], convention: str) -> dict:
+def run_theorem1(groups: list[str] | None, convention: str) -> dict:
     reports = verify_all(groups, convention=convention)
     return {
         "command": "theorem1",
@@ -266,7 +266,7 @@ def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -
         "virtual": virtual,
         "weights": {str(k): pos[k] for k in sorted(pos)},
         "negative_weights": {str(k): neg[k] for k in sorted(neg)},
-        "total_chern": {str(k): v for k, v in sorted(chern.sparse().items())},
+        "total_chern": {str(k): v for k, v in chern.terms.items()},
         "total_chern_str": str(chern),
         "total_chern_mod2": str(mod2(chern)),
         "palindromic": palindromic,
@@ -464,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
             report = run_prop2(m_lo, m_hi)
             code = 0 if report["all_passed"] else MISMATCH
         elif args.command == "theorem1":
-            groups = list(GROUP_ORDER) if args.group == "all" else [args.group]
+            groups = None if args.group == "all" else [args.group]
             report = run_theorem1(groups, args.convention)
             code = 0 if report["all_passed"] else MISMATCH
         elif args.command == "quillen":

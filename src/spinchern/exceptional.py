@@ -41,8 +41,6 @@ INDECOMPOSABLE = "indecomposable"
 DECOMPOSABLE = "decomposable"
 NOT_IN_IMAGE = "not-in-image"
 
-GROUP_ORDER = ("F4", "E6", "E7", "E8")
-
 
 @dataclass(frozen=True)
 class ExceptionalCase:
@@ -71,9 +69,10 @@ class ExceptionalCase:
         return self.top_degree // 2
 
 
-def builtin_cases() -> list[ExceptionalCase]:
-    """The four built-in cases, in the order F4, E6, E7, E8."""
-    return [
+# The four built-in cases by group, in the order F4, E6, E7, E8.
+_CASES = {
+    case.group: case
+    for case in (
         ExceptionalCase(
             group="F4",
             spin_n=9,
@@ -110,14 +109,21 @@ def builtin_cases() -> list[ExceptionalCase]:
             class_kind=SW_KIND,
             top_degree=128,
         ),
-    ]
+    )
+}
+GROUP_ORDER = tuple(_CASES)
+
+
+def builtin_cases() -> list[ExceptionalCase]:
+    """The four built-in cases, in the order F4, E6, E7, E8."""
+    return list(_CASES.values())
 
 
 def get_case(group: str) -> ExceptionalCase:
-    for case in builtin_cases():
-        if case.group == group:
-            return case
-    raise ValueError(f"unknown group {group!r}; expected one of {GROUP_ORDER}")
+    try:
+        return _CASES[group]
+    except KeyError:
+        raise ValueError(f"unknown group {group!r}; expected one of {GROUP_ORDER}") from None
 
 
 def indecomposable_in_image(u_power: int, h: int) -> str:
@@ -174,7 +180,7 @@ def _u_power_str(k: int) -> str:
 
 
 def _is_one_plus(series: TruncatedPoly, k: int) -> bool:
-    return series == TruncatedPoly.from_dict(series.ring, series.cutoff, {0: 1, k: 1})
+    return series == TruncatedPoly(series.ring, series.cutoff, {0: 1, k: 1})
 
 
 def dimension_audit(case: ExceptionalCase) -> dict:
@@ -264,7 +270,7 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
         cutoff=cutoff,
         character=format_character(weights),
         target=case.target,
-        total_class=series.sparse(),
+        total_class=series.terms,
         total_class_str=str(series),
         top_class=_u_power_str(top_u) if top_coeff else "0",
         expected=_u_power_str(top_u),
@@ -284,6 +290,9 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
 def verify_all(
     groups: list[str] | None = None, convention: str = VECTOR_REP
 ) -> list[VerificationReport]:
-    """Verify the selected groups (all four by default) in canonical order."""
-    selected = groups or list(GROUP_ORDER)
-    return [verify_case(get_case(name), convention) for name in GROUP_ORDER if name in selected]
+    """Verify the named groups in the order given; ``None`` means all four.
+
+    An unknown name raises ``ValueError`` (see :func:`get_case`).
+    """
+    cases = [get_case(name) for name in (GROUP_ORDER if groups is None else groups)]
+    return [verify_case(case, convention) for case in cases]

@@ -1,9 +1,10 @@
 """Exact truncated series for total characteristic classes.
 
 Total characteristic classes live in Z[u] or F2[u] truncated above a
-caller-chosen power of u and are held as :class:`TruncatedPoly` values,
-which store only their nonzero terms, so a class such as 1 + u^65536 costs
-two entries whatever its cutoff.  Coefficients are Python ints throughout,
+caller-chosen power of u and are held as :class:`TruncatedPoly` values.
+A value is its term map ``{k: c}``: it is built from one and stores only
+the nonzero terms, so a class such as 1 + u^65536 costs two entries
+whatever its cutoff.  Coefficients are Python ints throughout,
 so nothing overflows or rounds, and equality of values is equality of
 truncated polynomials.  Circle characters are signed weight maps (see
 :mod:`spinchern.spin_reps`), not values of this module.
@@ -41,58 +42,45 @@ def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
 class TruncatedPoly:
     """A polynomial in one generator u, truncated above u^cutoff.
 
-    ``ring`` is ``"Z"`` or ``"F2"``.  ``terms`` maps each k with a nonzero
-    coefficient of u^k to that coefficient, in ascending k, with every
-    k <= cutoff and, over F2, every coefficient reduced to 1; treat it as
-    read-only.  ``coeffs`` is a dense read-only view, the tuple of all
-    cutoff + 1 coefficients.  The generator u carries cohomological degree
-    2, so k represents degree 2k.  Every operation discards powers above
-    the cutoff.
+    ``ring`` is ``"Z"`` or ``"F2"``.  ``TruncatedPoly(ring, cutoff, terms)``
+    takes a map ``{k: c}`` from powers of u to coefficients; keys outside
+    0..cutoff and zero coefficients (over F2, the even ones) are dropped.
+    ``terms`` is what remains, in ascending k with every F2 coefficient 1,
+    so equal values have equal ``terms``; treat it as read-only.  The
+    generator u carries cohomological degree 2, so k represents degree 2k.
+    Every operation discards powers above the cutoff.
     """
 
     __slots__ = ("ring", "cutoff", "terms")
 
-    def __init__(self, ring: str, cutoff: int, coeffs: Iterable[int] = ()):
-        self._set(ring, cutoff, zip(range(cutoff + 1), coeffs))
-
-    def _set(self, ring: str, cutoff: int, items: Iterable[tuple[int, int]]) -> None:
-        """Store the (k, c) pairs, given in ascending k, in reduced form."""
+    def __init__(self, ring: str, cutoff: int, terms: Mapping[int, int]):
         if ring not in ("Z", "F2"):
             raise ValueError(f"ring must be 'Z' or 'F2', got {ring!r}")
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         self.ring = ring
         self.cutoff = cutoff
+        keys = sorted(k for k in terms if 0 <= k <= cutoff)
         if ring == "F2":
-            self.terms = {k: 1 for k, c in items if c & 1 and 0 <= k <= cutoff}
+            self.terms = {k: 1 for k in keys if terms[k] & 1}
         else:
-            self.terms = {k: c for k, c in items if c and 0 <= k <= cutoff}
-
-    # ---- constructors ---------------------------------------------------
+            self.terms = {k: c for k in keys if (c := terms[k])}
 
     @classmethod
     def one(cls, ring: str, cutoff: int) -> TruncatedPoly:
-        return cls(ring, cutoff, (1,))
-
-    @classmethod
-    def from_dict(cls, ring: str, cutoff: int, sparse: Mapping[int, int]) -> TruncatedPoly:
-        """The series with coefficient ``sparse[k]`` at u^k; keys outside
-        0..cutoff are dropped."""
-        poly = cls.__new__(cls)
-        poly._set(ring, cutoff, sorted(sparse.items()))
-        return poly
+        return cls(ring, cutoff, {0: 1})
 
     # ---- inspection -------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[int, ...]:
+        """The tuple of all cutoff + 1 coefficients: a read-only dense view,
+        kept only because ``perfbench/spans.py`` counts products from it;
+        the package reads ``terms``."""
         return tuple(self.terms.get(k, 0) for k in range(self.cutoff + 1))
 
     def coefficient(self, k: int) -> int:
         return self.terms.get(k, 0)
-
-    def sparse(self) -> dict[int, int]:
-        return dict(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedPoly):
@@ -120,7 +108,7 @@ class TruncatedPoly:
         if len(a) > len(b):
             a, b = b, a
         if not a:
-            return TruncatedPoly(self.ring, self.cutoff)
+            return TruncatedPoly(self.ring, self.cutoff, {})
         pairs = list(b.items())
         top = min(self.cutoff, next(reversed(a)) + pairs[-1][0])
         out = [0] * (top + 1)
@@ -130,7 +118,7 @@ class TruncatedPoly:
                 if j > room:
                     break
                 out[i + j] += ca * cb
-        return TruncatedPoly(self.ring, self.cutoff, out)
+        return TruncatedPoly(self.ring, self.cutoff, {k: c for k, c in enumerate(out) if c})
 
     # ---- formatting --------------------------------------------------------
 

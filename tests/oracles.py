@@ -7,8 +7,9 @@ every symmetric function of them up to a degree in one pass, and
 representation-ring symbol (up to 3^m terms), which :func:`circle_oracle`
 collapses to the first circle factor; :func:`lambda_characters` expands
 every exterior power at once.  The
-``series_*`` functions are the truncated-series operations the library no
-longer needs: powers, inversion and truncation of a ``TruncatedPoly``.
+``series_*`` functions and :func:`truncate` are the truncated-series
+operations the library no longer needs: powers, inversion and truncation
+of a ``TruncatedPoly``, read from and built from its term map.
 :func:`sq_by_factors` applies a Steenrod square one factor at a time on
 sorted tuples, the reference for the packed engine in ``spinchern.steenrod``.
 """
@@ -331,12 +332,12 @@ def series_inverse(p: TruncatedPoly) -> TruncatedPoly:
 
     The constant term must be a unit: +-1 over Z, 1 over F2.
     """
-    c0 = p.coeffs[0]
+    c0 = p.terms.get(0, 0)
     if c0 not in ((1, -1) if p.ring == "Z" else (1,)):
         raise ValueError(f"constant term {c0} is not a unit over {p.ring}")
-    out = [c0] + [0] * p.cutoff  # +-1 is its own inverse
+    out = {0: c0}  # +-1 is its own inverse
     for k in range(1, p.cutoff + 1):
-        out[k] = -c0 * sum(p.coeffs[j] * out[k - j] for j in range(1, k + 1))
+        out[k] = -c0 * sum(c * out[k - j] for j, c in p.terms.items() if 0 < j <= k)
         if p.ring == "F2":
             out[k] &= 1
     return TruncatedPoly(p.ring, p.cutoff, out)
@@ -346,7 +347,7 @@ def truncate(p: TruncatedPoly, cutoff: int) -> TruncatedPoly:
     """p with every power above u^cutoff dropped; the cutoff cannot grow."""
     if cutoff > p.cutoff:
         raise ValueError("cannot extend a truncated polynomial")
-    return TruncatedPoly(p.ring, cutoff, p.coeffs[: cutoff + 1])
+    return TruncatedPoly(p.ring, cutoff, p.terms)
 
 
 # ---- Steenrod squares ---------------------------------------------------------

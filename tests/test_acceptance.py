@@ -95,7 +95,7 @@ def test_criterion_03_integral_chern_shapes():
             (godd, DELTA, 2 ** (m - 1)),
         ):
             got = total_chern(circle_weights(g, sym), cutoff)
-            expected = TruncatedPoly.from_dict(
+            expected = TruncatedPoly(
                 "Z",
                 cutoff,
                 {2 * j: (-1) ** j * comb(expo, j) for j in range(min(expo, cutoff // 2) + 1)},
@@ -106,7 +106,7 @@ def test_criterion_03_integral_chern_shapes():
         for i in range(1, m):
             _, beta = closed_form_f1_lambda(godd, i)
             got = total_chern(circle_weights(godd, lam(i)), cutoff)
-            expected = TruncatedPoly.from_dict(
+            expected = TruncatedPoly(
                 "Z",
                 cutoff,
                 {2 * j: comb(beta, j) * (-4) ** j for j in range(min(beta, cutoff // 2) + 1)},

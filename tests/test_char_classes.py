@@ -110,7 +110,7 @@ def test_sw_rejects_palindromic_virtual_character():
 
 def test_total_chern_of_spin9_delta():
     w = circle_weights(SpinGroup(9), DELTA)
-    expected = series_pow(TruncatedPoly("Z", 32, [1, 0, -1]), 8)  # (1 - u^2)^8
+    expected = series_pow(TruncatedPoly("Z", 32, {0: 1, 2: -1}), 8)  # (1 - u^2)^8
     assert total_chern(w, 32) == expected
 
 
@@ -120,7 +120,7 @@ def test_total_chern_of_lambda_restrictions():
         g = SpinGroup(n)
         w = circle_weights(g, lam(i))
         beta = w.get(2, 0)
-        expected = series_pow(TruncatedPoly("Z", 64, [1, 0, -4]), beta)
+        expected = series_pow(TruncatedPoly("Z", 64, {0: 1, 2: -4}), beta)
         assert total_chern(w, 64) == expected
 
 
@@ -154,10 +154,10 @@ def test_conjugation_symmetry():
         got = total_chern(weights, 24)
         expected = one("Z", 24)
         for k, a in sorted(pairs.items()):
-            factor = TruncatedPoly.from_dict("Z", 24, {0: 1, 2: -k * k})
+            factor = TruncatedPoly("Z", 24, {0: 1, 2: -k * k})
             expected = expected * series_pow(factor, a)
         assert got == expected
-        assert all(c == 0 for j, c in got.sparse().items() if j % 2)
+        assert all(c == 0 for j, c in got.terms.items() if j % 2)
 
 
 # ---- virtual classes ------------------------------------------------------------
@@ -214,12 +214,12 @@ def test_signed_weights_match_series_division_oracle():
 
 def test_mod2_of_half_spin_class():
     # (1 - u^2)^{2^{m-2}} reduces to 1 + u^{2^{m-1}} for m = 5
-    c = series_pow(TruncatedPoly("Z", 32, [1, 0, -1]), 8)
-    assert mod2(c) == TruncatedPoly.from_dict("F2", 32, {0: 1, 16: 1})
+    c = series_pow(TruncatedPoly("Z", 32, {0: 1, 2: -1}), 8)
+    assert mod2(c) == TruncatedPoly("F2", 32, {0: 1, 16: 1})
 
 
 def test_mod2_of_lambda_class_is_one():
-    c = series_pow(TruncatedPoly("Z", 32, [1, 0, -4]), 14)
+    c = series_pow(TruncatedPoly("Z", 32, {0: 1, 2: -4}), 14)
     assert mod2(c) == one("F2", 32)
 
 
@@ -229,13 +229,13 @@ def test_mod2_identity():
 
 def test_f2_class_is_a_power_of_one_plus_u():
     # only odd weights count mod 2: (1 + u)^(3 - 1) = 1 + u^2
-    assert total_chern({1: 3, 2: 5, -3: -1, 0: 4}, 8, "F2").sparse() == {0: 1, 2: 1}
+    assert total_chern({1: 3, 2: 5, -3: -1, 0: 4}, 8, "F2").terms == {0: 1, 2: 1}
     # (1 + u)^-1 = 1 + u + u^2 + ... up to the cutoff
     assert total_chern({1: -1, 4: 2}, 6, "F2").coeffs == (1,) * 7
     assert total_chern({2: 9}, 6, "F2") == one("F2", 6)
     # the row stops at u^N, and the cutoff truncates it
-    assert total_chern({-1: 4}, 2, "F2").sparse() == {0: 1}
-    assert total_chern({5: 3}, 8, "F2").sparse() == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert total_chern({-1: 4}, 2, "F2").terms == {0: 1}
+    assert total_chern({5: 3}, 8, "F2").terms == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_f2_lucas_terms_match_dense_binomial_row():
@@ -243,7 +243,7 @@ def test_f2_lucas_terms_match_dense_binomial_row():
     for n in range(-80, 81):
         for cutoff in range(70):
             top = min(n, cutoff) if n >= 0 else cutoff
-            dense = TruncatedPoly("F2", cutoff, [binom_mod2(n, j) for j in range(top + 1)])
+            dense = TruncatedPoly("F2", cutoff, {j: binom_mod2(n, j) for j in range(top + 1)})
             got = total_chern({1: n}, cutoff, "F2")
             assert got == dense, (n, cutoff)
             assert got.coeffs == dense.coeffs, (n, cutoff)
@@ -270,7 +270,7 @@ def test_sw_of_f4_restriction():
     g = SpinGroup(9)
     expr = RepExpr.from_dict({triv(1): 1, lam(1): 1, DELTA: 1})
     sw = total_sw_real(circle_weights(g, expr), 16)
-    assert sw == TruncatedPoly.from_dict("F2", 16, {0: 1, 8: 1})
+    assert sw == TruncatedPoly("F2", 16, {0: 1, 8: 1})
     # w_16 is the u^8 coefficient
     assert sw.coefficient(8) == 1
 
@@ -279,7 +279,7 @@ def test_sw_of_e8_restriction():
     g = SpinGroup(16)
     expr = RepExpr.from_dict({triv(1): 8, lam(2): 1, DELTA_PLUS: 1})
     sw = total_sw_real(circle_weights(g, expr), 128)
-    assert sw == TruncatedPoly.from_dict("F2", 128, {0: 1, 64: 1})
+    assert sw == TruncatedPoly("F2", 128, {0: 1, 64: 1})
 
 
 def test_sw_of_constant_character():
@@ -349,7 +349,7 @@ def test_integral_shape_against_binomial_oracle():
     w = circle_weights(g, DELTA_PLUS)
     got = total_chern(w, cutoff)
     expo = 2 ** (m - 2)
-    expected = TruncatedPoly.from_dict(
+    expected = TruncatedPoly(
         "Z", cutoff, {2 * j: (-1) ** j * comb(expo, j) for j in range(expo + 1)}
     )
     assert got == expected

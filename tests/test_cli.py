@@ -77,6 +77,16 @@ def test_theorem1_single_group(capsys):
     assert "F4" not in out
 
 
+def test_theorem1_group_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem1", "--help"])
+    assert exc.value.code == 0
+    assert "--group {all,F4,E6,E7,E8}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem1", "--group", "G2"])
+    assert exc.value.code == 2
+
+
 def test_theorem1_paper_literal_flags_f4(capsys):
     code, out = run_cli(
         capsys, "theorem1", "--group", "F4", "--convention", "paper-literal"
@@ -194,7 +204,7 @@ def test_restrict_virtual_with_moving_weights_on_both_sides(capsys):
     pos = {int(k): a for k, a in report["weights"].items()}
     neg = {int(k): a for k, a in report["negative_weights"].items()}
     assert pos.keys() - {0} and neg.keys() - {0}
-    chern = TruncatedPoly.from_dict(
+    chern = TruncatedPoly(
         "Z", 64, {int(k): c for k, c in report["total_chern"].items()}
     )
     # Whitney round trip: c(pos - neg) * c(neg) == c(pos)
@@ -281,6 +291,28 @@ def test_docstring_examples_hold():
         assert result.failed == 0, module.__name__
         attempted += result.attempted
     assert attempted >= 5
+
+
+def test_readme_example_prints_its_comments(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("\n## Example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    # each commented print gives the value it prints, then an optional remark
+    values = [line.split("# ", 1)[1].split(", ")[0] for line in code.splitlines()
+              if line.startswith("print(") and "# " in line]
+    assert values == ["8*z1 + 8*z1^-1", "1 + u^16", "1 + u^16", "1 + u^8"]
+    for line, value in zip(printed, values):
+        assert line.startswith(value), (line, value)
+    assert printed[4:] == [
+        "F4 1 + u^8 indecomposable",
+        "E6 1 + u^16 indecomposable",
+        "E7 1 + u^32 indecomposable",
+        "E8 1 + u^64 indecomposable",
+    ]
+    weights_line = next(line for line in code.splitlines() if line.startswith("weights ="))
+    assert namespace["weights"] == ast.literal_eval(weights_line.split("# ", 1)[1])
 
 
 def test_cli_never_expands_full_torus_characters(capsys):

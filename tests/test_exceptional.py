@@ -7,6 +7,7 @@ import pytest
 from spinchern.exceptional import (
     CHERN_KIND,
     DECOMPOSABLE,
+    GROUP_ORDER,
     INDECOMPOSABLE,
     NOT_IN_IMAGE,
     SW_KIND,
@@ -64,6 +65,21 @@ def test_builtin_ambient_dimensions():
 def test_get_case_unknown_group():
     with pytest.raises(ValueError):
         get_case("G2")
+
+
+def test_get_case_and_group_order_read_the_case_table():
+    assert GROUP_ORDER == ("F4", "E6", "E7", "E8")
+    for case in builtin_cases():
+        assert get_case(case.group) is case
+
+
+def test_verify_all_runs_exactly_the_named_groups():
+    assert verify_all([]) == []
+    assert [r.group for r in verify_all(["E7", "E6"])] == ["E7", "E6"]
+    # an unknown name is an error, not a silent drop
+    for groups in (["G2"], ["F4", "G2"]):
+        with pytest.raises(ValueError, match="unknown group 'G2'"):
+            verify_all(groups)
 
 
 # ---- image subring -------------------------------------------------------------

@@ -262,80 +262,88 @@ def test_evaluate_at_one_is_ring_homomorphism(triple):
 
 
 def test_trunc_pow_binomial():
-    p = TruncatedPoly("Z", 16, [1, 0, -1])  # 1 - u^2
+    p = TruncatedPoly("Z", 16, {0: 1, 2: -1})  # 1 - u^2
     result = series_pow(p, 8)
-    expected = TruncatedPoly.from_dict(
+    expected = TruncatedPoly(
         "Z", 16, {2 * k: (-1) ** k * math.comb(8, k) for k in range(9)}
     )
     assert result == expected
 
 
 def test_trunc_inverse_geometric_mod2():
-    p = TruncatedPoly("F2", 4, [1, 1])  # 1 + u
-    assert series_inverse(p) == TruncatedPoly("F2", 4, [1, 1, 1, 1, 1])
+    p = TruncatedPoly("F2", 4, {0: 1, 1: 1})  # 1 + u
+    assert series_inverse(p) == TruncatedPoly("F2", 4, dict.fromkeys(range(5), 1))
 
 
 def test_trunc_mul_identity():
-    p = TruncatedPoly("Z", 8, [1, 2, 3])
+    p = TruncatedPoly("Z", 8, {0: 1, 1: 2, 2: 3})
     assert p * TruncatedPoly.one("Z", 8) == p
 
 
 def test_trunc_inverse_round_trip():
-    p = TruncatedPoly("Z", 12, [1, 5, -3, 7])
+    p = TruncatedPoly("Z", 12, {0: 1, 1: 5, 2: -3, 3: 7})
     assert p * series_inverse(p) == TruncatedPoly.one("Z", 12)
-    q = TruncatedPoly("Z", 12, [-1, 4, 9])
+    q = TruncatedPoly("Z", 12, {0: -1, 1: 4, 2: 9})
     assert q * series_inverse(q) == TruncatedPoly.one("Z", 12)
 
 
 def test_trunc_inverse_requires_unit():
     with pytest.raises(ValueError):
-        series_inverse(TruncatedPoly("Z", 4, [2, 1]))
+        series_inverse(TruncatedPoly("Z", 4, {0: 2, 1: 1}))
     with pytest.raises(ValueError):
-        series_inverse(TruncatedPoly("F2", 4, [0, 1]))
+        series_inverse(TruncatedPoly("F2", 4, {1: 1}))
 
 
 def test_trunc_mismatch_errors():
-    a = TruncatedPoly("Z", 4, [1])
+    a = TruncatedPoly.one("Z", 4)
     with pytest.raises(ValueError):
-        a * TruncatedPoly("F2", 4, [1])
+        a * TruncatedPoly.one("F2", 4)
     with pytest.raises(ValueError):
-        a * TruncatedPoly("Z", 5, [1])
+        a * TruncatedPoly.one("Z", 5)
 
 
 def test_f2_reduces_coefficients():
-    p = TruncatedPoly("F2", 4, [3, -2, 5])
+    p = TruncatedPoly("F2", 4, {0: 3, 1: -2, 2: 5})
     assert p.coeffs == (1, 0, 1, 0, 0)
     assert p.terms == {0: 1, 2: 1}
-    assert TruncatedPoly.from_dict("F2", 4, {1: 4, 3: -6}) == TruncatedPoly("F2", 4)
+    assert TruncatedPoly("F2", 4, {1: 4, 3: -6}) == TruncatedPoly("F2", 4, {})
+
+
+def test_constructor_rejects_bad_ring_and_cutoff():
+    with pytest.raises(ValueError):
+        TruncatedPoly("Q", 4, {})
+    with pytest.raises(ValueError):
+        TruncatedPoly("Z", -1, {})
 
 
 @given(
     st.sampled_from(["Z", "F2"]),
     st.integers(0, 12),
-    st.lists(st.integers(-9, 9), max_size=16),
+    st.dictionaries(st.integers(-3, 16), st.integers(-9, 9), max_size=20),
 )
-def test_dense_and_sparse_constructors_agree(ring, cutoff, coeffs):
-    dense = TruncatedPoly(ring, cutoff, coeffs)
-    # keys past the cutoff are dropped and the insertion order is irrelevant
-    sparse = TruncatedPoly.from_dict(ring, cutoff, dict(reversed(list(enumerate(coeffs)))))
-    assert dense == sparse
-    assert hash(dense) == hash(sparse)
-    kept = [c & 1 if ring == "F2" else c for c in coeffs[: cutoff + 1]]
-    assert dense.coeffs == tuple(kept + [0] * (cutoff + 1 - len(kept)))
-    assert list(dense.terms.items()) == [(k, c) for k, c in enumerate(kept) if c]
-    assert list(sparse.terms.items()) == list(dense.terms.items())
-    assert dense.sparse() == dense.terms
+def test_constructor_normalises_terms(ring, cutoff, terms):
+    p = TruncatedPoly(ring, cutoff, terms)
+    # keys outside 0..cutoff and zero (over F2, even) coefficients are dropped
+    kept = {k: c & 1 if ring == "F2" else c for k, c in terms.items() if 0 <= k <= cutoff}
+    assert list(p.terms.items()) == [(k, kept[k]) for k in sorted(kept) if kept[k]]
+    assert p.coeffs == tuple(kept.get(k, 0) for k in range(cutoff + 1))
+    assert all(p.coefficient(k) == c for k, c in enumerate(p.coeffs))
+    # the insertion order of the map is irrelevant
+    reordered = TruncatedPoly(ring, cutoff, dict(reversed(list(terms.items()))))
+    assert reordered == p
+    assert hash(reordered) == hash(p)
+    assert list(reordered.terms) == list(p.terms)
 
 
 def test_mod2_of_integral_series():
-    p = series_pow(TruncatedPoly("Z", 16, [1, 0, -1]), 8)
-    assert mod2(p) == TruncatedPoly.from_dict("F2", 16, {0: 1, 16: 1})
+    p = series_pow(TruncatedPoly("Z", 16, {0: 1, 2: -1}), 8)
+    assert mod2(p) == TruncatedPoly("F2", 16, {0: 1, 16: 1})
 
 
 def test_str_of_series():
-    assert str(TruncatedPoly.from_dict("F2", 16, {0: 1, 16: 1})) == "1 + u^16"
-    assert str(TruncatedPoly("Z", 4, [1, -4])) == "1 - 4*u"
-    assert str(TruncatedPoly("Z", 4)) == "0"
+    assert str(TruncatedPoly("F2", 16, {16: 1, 0: 1})) == "1 + u^16"
+    assert str(TruncatedPoly("Z", 4, {0: 1, 1: -4})) == "1 - 4*u"
+    assert str(TruncatedPoly("Z", 4, {})) == "0"
 
 
 @st.composite
@@ -344,7 +352,7 @@ def trunc_pairs(draw):
     cutoff = draw(st.integers(1, 10))
     def poly():
         coeffs = draw(st.lists(st.integers(-9, 9), min_size=0, max_size=cutoff + 1))
-        return TruncatedPoly(ring, cutoff, coeffs)
+        return TruncatedPoly(ring, cutoff, dict(enumerate(coeffs)))
     return poly(), poly()
 
 
@@ -375,5 +383,7 @@ def test_large_dense_product_matches_naive_convolution():
     a = [rng.randint(-(10**9), 10**9) for _ in range(cutoff + 1)]
     b = [rng.randint(-(10**9), 10**9) for _ in range(cutoff + 1)]
     expected = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(cutoff + 1)]
-    got = TruncatedPoly("Z", cutoff, a) * TruncatedPoly("Z", cutoff, b)
+    got = TruncatedPoly("Z", cutoff, dict(enumerate(a))) * TruncatedPoly(
+        "Z", cutoff, dict(enumerate(b))
+    )
     assert list(got.coeffs) == expected

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from oracles import MultiLaurent, character_on_Tm, circle_oracle, weight_map
 from spinchern.char_classes import is_palindromic
 from spinchern.spin_reps import (
+    CONVENTIONS,
     DELTA,
     DELTA_MINUS,
     DELTA_PLUS,
     PAPER_LITERAL,
     VECTOR_REP,
     RepExpr,
+    RepSymbol,
     SpinGroup,
     circle_weights,
     closed_form_f1_lambda,
@@ -123,13 +125,38 @@ def test_spin_f1_closed_form_range():
         assert circle_weights(ge, DELTA_MINUS) == spinor(2 ** (m - 2))
 
 
+def generators(g: SpinGroup) -> list[RepSymbol]:
+    """The lambda and (half-)spinor generators of the representation ring."""
+    symbols = [lam(i) for i in range(1, g.max_lambda_index() + 1)]
+    return symbols + ([DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA])
+
+
+def assert_circle_shape(weights: dict[int, int]) -> None:
+    # every circle weight is 0, +-1 or +-2, and z^k and z^-k come in pairs
+    assert set(weights) <= {-2, -1, 0, 1, 2}, weights
+    assert is_palindromic(weights), weights
+
+
 def test_f1_characters_palindromic():
-    for n in (9, 10, 12, 16):
+    for n in range(6, 41):
         g = SpinGroup(n)
-        symbols = [lam(1)]
-        symbols.append(DELTA if not g.is_even else DELTA_PLUS)
-        for sym in symbols:
-            assert is_palindromic(circle_weights(g, sym))
+        for sym in generators(g):
+            for convention in CONVENTIONS:
+                assert_circle_shape(circle_weights(g, sym, convention))
+
+
+@st.composite
+def signed_expressions(draw) -> tuple[SpinGroup, RepExpr]:
+    g = SpinGroup(draw(st.integers(6, 40)))
+    mults = st.integers(-3, 3)
+    terms = draw(st.dictionaries(st.sampled_from(generators(g) + [triv(1)]), mults, max_size=4))
+    return g, RepExpr.from_dict(terms)
+
+
+@given(signed_expressions(), st.sampled_from(CONVENTIONS))
+def test_f1_signed_expressions_palindromic(group_expr, convention):
+    g, expr = group_expr
+    assert_circle_shape(circle_weights(g, expr, convention))
 
 
 def test_expression_restriction_f4():
