@@ -54,10 +54,8 @@ from .spin_reps import (
 from .steenrod import (
     GradedPolyF2,
     binom_mod2,
-    drop_w1,
     j_degrees_expected,
     j_ideal_generators,
-    sq,
     sq_bso,
     sq_on_generator,
 )
@@ -93,9 +91,7 @@ __all__ = [
     "GradedPolyF2",
     "binom_mod2",
     "sq_on_generator",
-    "sq",
     "sq_bso",
-    "drop_w1",
     "j_degrees_expected",
     "j_ideal_generators",
     "ExceptionalCase",

@@ -110,8 +110,7 @@ _SORT_ORDER = {"triv": 0, "lambda": 1, "delta+": 2, "delta-": 3, "delta": 4}
 class RepExpr:
     """A formal integer combination of representation symbols.
 
-    Multiplicities may be negative (virtual representations).  Expressions
-    are immutable; use ``+`` and integer ``*`` to build them.
+    Multiplicities may be negative (virtual representations).
     """
 
     terms: tuple[tuple[RepSymbol, int], ...] = field(default=())
@@ -126,24 +125,12 @@ class RepExpr:
     def single(cls, sym: RepSymbol, mult: int = 1) -> RepExpr:
         return cls.from_dict({sym: mult})
 
-    def as_dict(self) -> dict[RepSymbol, int]:
-        return dict(self.terms)
-
-    def __add__(self, other: RepExpr) -> RepExpr:
-        d = self.as_dict()
-        for s, c in other.terms:
-            d[s] = d.get(s, 0) + c
-        return RepExpr.from_dict(d)
-
-    def __rmul__(self, mult: int) -> RepExpr:
-        return RepExpr.from_dict({s: mult * c for s, c in self.terms})
-
     def __str__(self) -> str:
         return signed_sum((c, "" if sym == triv(1) else str(sym)) for sym, c in self.terms)
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<mult>-?\d+)\s*\*\s*)?"
+    r"^(?:(?P<mult>-?\d+)\s*\*\s*|(?P<neg>-)(?=[a-z]))?"
     r"(?P<sym>lambda(?P<lami>\d+)|delta\+|delta-|delta|triv:(?P<trivk>\d+)|(?P<const>-?\d+))$"
 )
 
@@ -153,7 +140,8 @@ def parse_expr(text: str) -> RepExpr:
 
     Symbols: ``lambda1``, ``delta+``, ``delta-``, ``delta``, ``triv:k``; a
     bare integer is that many trivial summands; integer multipliers attach
-    with ``*`` as in ``2*lambda1``; terms join with ``+`` or ``-``:
+    with ``*`` as in ``2*lambda1``, and a leading ``-`` alone is ``-1*``;
+    terms join with ``+`` or ``-``:
 
     >>> str(parse_expr("8 + lambda2 + delta+"))
     '8 + lambda2 + delta+'
@@ -172,7 +160,7 @@ def parse_expr(text: str) -> RepExpr:
         m = _TERM_RE.match(chunk.strip())
         if not m:
             raise ValueError(f"cannot parse term {chunk!r} in expression {text!r}")
-        mult = sign * (int(m.group("mult")) if m.group("mult") else 1)
+        mult = sign * (int(m.group("mult")) if m.group("mult") else -1 if m.group("neg") else 1)
         if m.group("const") is not None:
             k = int(m.group("const"))
             sym, mult = triv(1), mult * k

@@ -1,7 +1,8 @@
 """Steenrod squares on universal Stiefel-Whitney classes.
 
 Elements of F2[w_1, ..., w_n] are sets of monomials (set semantics is mod-2
-addition).  Squares act on generators by the Wu formula
+addition).  Squares are taken in H*(BSO(n)) = F2[w_1, ..., w_n]/(w_1), the
+ring of oriented bundles, and act on generators by the Wu formula
 
     Sq^i(w_j) = sum_t binom(j - i + t - 1, t) w_{i-t} w_{j+t}   (mod 2)
 
@@ -29,10 +30,10 @@ memoised, Sq^s(w_j^e) being the square of Sq^{s/2}(w_j^{e/2}) for even e
 and one Wu factor times the even power for odd e, and the Cartan formula
 runs over the distinct generators of each monomial, not over its factors.
 
-Setting w_1 = 0 passes to oriented bundles; the ideal (w_1) is stable under
-squares, so dropping w_1-monomials after each application computes the
-quotient action.  The iterated squares of w_2 generate the ideal that cuts
-the mod-2 cohomology of BSpin(n) out of that of BSO(n).
+The ideal (w_1) is stable under squares, so :func:`sq_bso` computes the
+quotient action by skipping every Wu piece with a w_1 factor; only
+:func:`sq_on_generator` keeps w_1.  The iterated squares of w_2 generate
+the ideal that cuts the mod-2 cohomology of BSpin(n) out of that of BSO(n).
 """
 
 from __future__ import annotations
@@ -249,8 +250,11 @@ def sq_on_generator(i: int, j: int, n: int) -> GradedPolyF2:
     return GradedPolyF2.from_monomials(n, monomials)
 
 
-def _sq(i: int, p: GradedPolyF2, drop_w1: bool) -> GradedPolyF2:
-    """Sq^i on packed monomials; Sq^0 = id and negative indices are rejected.
+def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
+    """Sq^i in H*(BSO(n)), the quotient by w_1 (``p`` must avoid w_1).
+
+    Sq^0 = id and negative indices are rejected.  Wu pieces with a w_1
+    factor are skipped, since the ideal (w_1) is stable under squares.
 
     The output fields are as wide as the largest output degree needs, so no
     field overflows: a product is an integer sum and a square is ``2 * m``.
@@ -277,7 +281,7 @@ def _sq(i: int, p: GradedPolyF2, drop_w1: bool) -> GradedPolyF2:
             wu = sq_on_generator(s, j, n)
             for g in wu.terms:
                 g = _spread(g, n, wu.width, width)
-                if not (drop_w1 and g & w1_field):  # a w_1 factor can never cancel later
+                if not g & w1_field:  # a w_1 factor can never cancel later
                     out.add(g)
         elif e % 2 == 0:
             if s % 2 == 0:  # Sq(x^2) = (Sq x)^2 mod 2
@@ -312,22 +316,6 @@ def _sq(i: int, p: GradedPolyF2, drop_w1: bool) -> GradedPolyF2:
             states = nxt
         out.symmetric_difference_update(states.get(i, ()))
     return GradedPolyF2.packed(n, out, width)
-
-
-def sq(i: int, p: GradedPolyF2) -> GradedPolyF2:
-    """Sq^i of a polynomial: additive, Cartan on products, Sq^0 = id."""
-    return _sq(i, p, drop_w1=False)
-
-
-def drop_w1(p: GradedPolyF2) -> GradedPolyF2:
-    """Pass to oriented bundles: kill every monomial containing w_1."""
-    w1_field = ((1 << p.width) - 1) << (_fields(p.n, p.width) - 1) * p.width  # the top one
-    return GradedPolyF2.packed(p.n, (m for m in p.terms if not m & w1_field), p.width)
-
-
-def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
-    """Sq^i in the quotient with w_1 = 0 (input must already avoid w_1)."""
-    return _sq(i, p, drop_w1=True)
 
 
 def j_degrees_expected(h: int) -> list[int]:

@@ -11,7 +11,8 @@ every exterior power at once.  The
 operations the library no longer needs: powers, inversion and truncation
 of a ``TruncatedPoly``, read from and built from its term map.
 :func:`sq_by_factors` applies a Steenrod square one factor at a time on
-sorted tuples, the reference for the packed engine in ``spinchern.steenrod``.
+sorted tuples, skipping the Wu pieces with a w_1 factor: the reference for
+``spinchern.steenrod.sq_bso``.
 """
 
 from __future__ import annotations
@@ -353,16 +354,16 @@ def truncate(p: TruncatedPoly, cutoff: int) -> TruncatedPoly:
 # ---- Steenrod squares ---------------------------------------------------------
 
 
-def sq_by_factors(
-    i: int, mon: tuple[int, ...], n: int, drop_w1: bool = False
-) -> GradedPolyF2:
-    """Sq^i of one monomial by the Cartan convolution over its factors.
+def sq_by_factors(i: int, mon: tuple[int, ...], n: int) -> GradedPolyF2:
+    """Sq^i of one monomial in H*(BSO(n)), by the Cartan convolution over
+    its factors.
 
     States are (spent, partial monomial) with mod-2 multiplicity, one Wu
     expansion per factor (so w_2^128 takes 128 steps); branches that can no
     longer reach a total spend of i are pruned via the suffix degree sum (a
-    factor w_j absorbs at most Sq^j).  With ``drop_w1`` every Wu piece that
-    contains w_1 is skipped.
+    factor w_j absorbs at most Sq^j).  Every Wu piece with a w_1 factor is
+    skipped: w_1 divides every product such a piece enters, so this is the
+    full-ring square with its w_1 monomials removed.
     """
     suffix = [0] * (len(mon) + 1)
     for pos in range(len(mon) - 1, -1, -1):
@@ -376,8 +377,7 @@ def sq_by_factors(
         for spent, partial in states:
             for s in range(max(0, i - spent - cap), min(j, i - spent) + 1):
                 for gmon in sq_on_generator(s, j, n).monomials():
-                    if drop_w1 and 1 in gmon:
-                        continue
-                    nxt ^= {(spent + s, tuple(sorted(partial + gmon)))}
+                    if 1 not in gmon:
+                        nxt ^= {(spent + s, tuple(sorted(partial + gmon)))}
         states = nxt
     return GradedPolyF2.from_monomials(n, [partial for spent, partial in states if spent == i])

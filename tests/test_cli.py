@@ -170,6 +170,10 @@ def test_restrict_dash_expression_must_follow_double_dash(capsys):
     code, out = run_cli(capsys, "restrict", "--n", "12", "--", "-3*lambda1")
     assert code == 0
     assert "character: -3*z1^2 - 30 - 3*z1^-2\n" in out
+    # a unit term prints as "-lambda1", and that text parses back
+    code, unit = run_cli(capsys, "restrict", "--n", "12", "--", "-lambda1")
+    assert code == 0 and unit.startswith("Spin(12)  -lambda1\n")
+    assert unit == run_cli(capsys, "restrict", "--n", "12", "--", "-1*lambda1")[1]
 
 
 def test_restrict_bad_expression(capsys):

@@ -168,10 +168,12 @@ def test_square_relation_is_the_complexification_check(monkeypatch):
 def test_trivial_summand_invariance():
     # adding trivial summands must not change any class
     for case in builtin_cases():
+        terms = dict(case.restriction.terms)
+        terms[triv(1)] = terms.get(triv(1), 0) + 3
         perturbed = ExceptionalCase(
             group=case.group,
             spin_n=case.spin_n,
-            restriction=case.restriction + RepExpr.single(triv(1), 3),
+            restriction=RepExpr.from_dict(terms),
             target=case.target,
             ambient_dim=case.ambient_dim + 3,
             class_kind=case.class_kind,

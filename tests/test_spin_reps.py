@@ -323,18 +323,38 @@ def test_quillen_h_discrepancy_notes():
 
 def test_parse_expr_grammar():
     expr = parse_expr("8 + lambda2 + delta+")
-    assert expr.as_dict() == {triv(1): 8, lam(2): 1, DELTA_PLUS: 1}
+    assert expr == RepExpr.from_dict({triv(1): 8, lam(2): 1, DELTA_PLUS: 1})
     expr = parse_expr("2*lambda1 + delta-")
-    assert expr.as_dict() == {lam(1): 2, DELTA_MINUS: 1}
+    assert expr == RepExpr.from_dict({lam(1): 2, DELTA_MINUS: 1})
     expr = parse_expr("triv:3 + delta")
-    assert expr.as_dict() == {triv(3): 1, DELTA: 1}
+    assert expr == RepExpr.from_dict({triv(3): 1, DELTA: 1})
     expr = parse_expr("lambda1 - delta")
-    assert expr.as_dict() == {lam(1): 1, DELTA: -1}
+    assert expr == RepExpr.from_dict({lam(1): 1, DELTA: -1})
+    # a bare leading dash is a multiplier of -1, as printed for such terms
+    expr = parse_expr("-lambda1 - delta+")
+    assert expr == RepExpr.from_dict({lam(1): -1, DELTA_PLUS: -1})
+    assert parse_expr("-triv:2 + -delta") == RepExpr.from_dict({triv(2): -1, DELTA: -1})
+    assert parse_expr("-4") == RepExpr.from_dict({triv(1): -4})
 
 
 def test_parse_expr_round_trip():
     for text in ("8 + lambda2 + delta+", "2*lambda1 + delta-", "1 + lambda1 + delta"):
         assert str(parse_expr(text)) == text
+
+
+_SYMBOLS = st.one_of(
+    st.integers(1, 12).map(lam),
+    st.sampled_from([DELTA_PLUS, DELTA_MINUS, DELTA]),
+    st.integers(0, 5).map(triv),  # triv(1) prints as a bare constant
+)
+
+
+@given(st.dictionaries(_SYMBOLS, st.integers(-9, 9), max_size=6))
+@example({lam(1): -1, DELTA_PLUS: 1})
+@example({triv(1): -1, triv(3): -1})
+def test_printed_expression_parses_back(terms):
+    e = RepExpr.from_dict(terms)
+    assert parse_expr(str(e)) == e
 
 
 def test_parse_expr_rejects_garbage():
@@ -344,8 +364,10 @@ def test_parse_expr_rejects_garbage():
 
 
 def test_expr_arithmetic():
-    e = RepExpr.single(lam(1)) + RepExpr.single(lam(1)) + 3 * RepExpr.single(DELTA)
-    assert e.as_dict() == {lam(1): 2, DELTA: 3}
+    # repeated symbols add up, and zero multiplicities drop out
+    e = parse_expr("lambda1 + lambda1 + 3*delta - 2 + 2")
+    assert e == RepExpr.from_dict({lam(1): 2, DELTA: 3, triv(1): 0})
+    assert e == RepExpr.from_dict({DELTA: 3, lam(1): 2})
 
 
 # ---- rendering ------------------------------------------------------------------

@@ -6,10 +6,13 @@ symmetric function of the roots, the total square sends each root t to
 t + t^2 and extends multiplicatively, and Sq^i picks out the homogeneous
 degree j + i part.  Expressing the result back in the w-basis uses the
 classical leading-term algorithm for symmetric functions.  None of that
-shares code with the Wu/Cartan implementation under test.  The roots oracle
-is slow for high powers, so the packed engine is also checked against
-``oracles.sq_by_factors``, which shares only the Wu formula with it and
-applies the Cartan formula one factor at a time.
+shares code with the Wu/Cartan implementation under test.  The oracle
+squares in the full ring F2[w_1, ..., w_n]; ``sq_bso`` squares in
+H*(BSO(n)), so its results are compared with the oracle's after the w_1
+monomials are removed.  The roots oracle is slow for high powers, so
+``sq_bso`` is also checked against ``oracles.sq_by_factors``, which shares
+only the Wu formula with it and applies the Cartan formula one factor at a
+time.
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ from spinchern.spin_reps import quillen_h
 from spinchern.steenrod import (
     GradedPolyF2,
     binom_mod2,
-    drop_w1,
     j_degrees_expected,
     j_ideal_generators,
-    sq,
     sq_bso,
     sq_on_generator,
 )
@@ -36,6 +37,11 @@ from spinchern.steenrod import (
 
 def w(*indices: int, n: int) -> GradedPolyF2:
     return GradedPolyF2.from_monomials(n, [tuple(sorted(indices))])
+
+
+def without_w1(p: GradedPolyF2) -> GradedPolyF2:
+    """The image of p in H*(BSO(n)): its monomials with a w_1 factor removed."""
+    return GradedPolyF2.from_monomials(p.n, [m for m in p.monomials() if 1 not in m])
 
 
 # ---- oracle machinery -------------------------------------------------------
@@ -107,7 +113,7 @@ def oracle_sq_monomial(i: int, mon: tuple[int, ...], n: int) -> GradedPolyF2:
 def test_sq1_w2_full_and_bso():
     full = sq_on_generator(1, 2, 10)
     assert full == GradedPolyF2.from_monomials(10, [(1, 2), (3,)])
-    assert drop_w1(full) == w(3, n=10)
+    assert without_w1(full) == sq_bso(1, w(2, n=10)) == w(3, n=10)
 
 
 def test_sq2_w2_is_top_square():
@@ -142,41 +148,49 @@ def test_sq_generator_index_out_of_range():
 
 def test_sq_products_match_roots_oracle():
     n = 5
-    monomials = [(2, 3), (2, 2), (3, 4), (2, 2, 3), (1, 2), (2, 3, 3)]
+    monomials = [(2, 3), (2, 2), (3, 4), (2, 2, 3), (2, 5), (2, 3, 3)]
     for mon in monomials:
         for i in range(0, sum(mon) + 2):
-            got = sq(i, GradedPolyF2.from_monomials(n, [mon]))
-            want = oracle_sq_monomial(i, mon, n)
+            got = sq_bso(i, GradedPolyF2.from_monomials(n, [mon]))
+            want = without_w1(oracle_sq_monomial(i, mon, n))
             assert got == want, (i, mon)
 
 
 def test_sq_high_powers_match_roots_oracle():
-    # exponents of 4 and more; w2^5 w3 stays at n = 4, where the oracle is quick
+    # exponents of 4 and more; w2^5 w3 stays at n = 4, where the oracle is
+    # quick (the factor oracle checks it at n = 6, below)
     for n, mon in [(6, (2, 2, 2, 2)), (6, (3, 3, 3, 3)), (4, (2, 2, 2, 2, 2, 3))]:
         for i in range(0, sum(mon) + 2):
-            got = sq(i, GradedPolyF2.from_monomials(n, [mon]))
-            assert got == oracle_sq_monomial(i, mon, n), (i, mon)
+            got = sq_bso(i, GradedPolyF2.from_monomials(n, [mon]))
+            assert got == without_w1(oracle_sq_monomial(i, mon, n)), (i, mon)
+
+
+def test_sq_w2_power_w3_at_n6_matches_factor_oracle():
+    n, mon = 6, (2, 2, 2, 2, 2, 3)
+    p = GradedPolyF2.from_monomials(n, [mon])
+    for i in range(0, sum(mon) + 2):
+        assert sq_bso(i, p) == sq_by_factors(i, mon, n), i
 
 
 def test_sq1_of_w2w3():
     # Sq^1(w2 w3) = w3 Sq^1 w2 + w2 Sq^1 w3 = w3(w1w2 + w3) + w2 w1w3,
-    # frozen from the roots oracle: the w1 terms cancel, leaving w3^2
-    got = sq(1, w(2, 3, n=8))
+    # frozen from the roots oracle: the w1 terms cancel in the full ring,
+    # and sq_bso skips them, leaving w3^2 either way
+    got = sq_bso(1, w(2, 3, n=8))
     assert got == w(3, 3, n=8)
     assert got == oracle_sq_monomial(1, (2, 3), 8)
 
 
 def test_sq0_is_identity():
     p = GradedPolyF2.from_monomials(6, [(2, 3), (5,)])
-    assert sq(0, p) == p
+    assert sq_bso(0, p) == p
 
 
 def test_negative_index_rejected():
-    p = w(2, n=6)
     with pytest.raises(ValueError):
-        sq(-1, p)
+        sq_bso(-1, w(2, n=6))
     with pytest.raises(ValueError):
-        sq_bso(-1, p)
+        sq_on_generator(-1, 2, 6)
 
 
 def test_cartan_coherence_random():
@@ -184,17 +198,17 @@ def test_cartan_coherence_random():
     rng = random.Random(23)
     n = 8
     for _ in range(120):
-        a = tuple(sorted(rng.choices(range(1, n + 1), k=rng.randint(1, 2))))
-        b = tuple(sorted(rng.choices(range(1, n + 1), k=rng.randint(1, 2))))
+        a = tuple(sorted(rng.choices(range(2, n + 1), k=rng.randint(1, 2))))
+        b = tuple(sorted(rng.choices(range(2, n + 1), k=rng.randint(1, 2))))
         if sum(a) > 8 or sum(b) > 8:
             continue
         i = rng.randint(0, 8)
         pa = GradedPolyF2.from_monomials(n, [a])
         pb = GradedPolyF2.from_monomials(n, [b])
-        direct = sq(i, pa * pb)
+        direct = sq_bso(i, pa * pb)
         convolved = GradedPolyF2.zero(n)
         for t in range(i + 1):
-            convolved = convolved + sq(t, pa) * sq(i - t, pb)
+            convolved = convolved + sq_bso(t, pa) * sq_bso(i - t, pb)
         assert direct == convolved, (a, b, i)
 
 
@@ -209,31 +223,37 @@ def _random_power_monomial(rng: random.Random, lo: int, n: int) -> tuple[int, ..
 
 def test_packed_engine_matches_factor_oracle():
     rng = random.Random(41)
-    for _ in range(150):
+    for _ in range(300):
         n = rng.randint(2, 12)
-        mon = _random_power_monomial(rng, 1, n)
-        i = rng.randint(1, sum(mon) + 1)
-        p = GradedPolyF2.from_monomials(n, [mon])
-        assert sq(i, p) == sq_by_factors(i, mon, n), (i, mon, n)
-    for _ in range(150):
-        n = rng.randint(3, 12)
         mon = _random_power_monomial(rng, 2, n)
         i = rng.randint(1, sum(mon) + 1)
         p = GradedPolyF2.from_monomials(n, [mon])
-        assert sq_bso(i, p) == sq_by_factors(i, mon, n, drop_w1=True), (i, mon, n)
+        assert sq_bso(i, p) == sq_by_factors(i, mon, n), (i, mon, n)
 
 
-def test_sq_powers_of_w1_across_field_widths():
-    # Sq^i(w1^e) = binom(e, i) w1^(e+i); the output degree e + i sets the
-    # packed field width, and these exponents fill a field up to 2^k - 1
-    # (15, 511) and pass it (512, 513)
+def _sq_w2_power(i: int, e: int, n: int) -> GradedPolyF2:
+    """Sq^i(w2^e) from Sq(w2) = w2 + w3 + w2^2 in H*(BSO(n)): the sum of
+    multinomial(e; a, b, c) w2^(a + 2c) w3^b over a + b + c = e, b + 2c = i."""
+    mons = []
+    for c in range(i // 2 + 1):
+        b, a = i - 2 * c, e - i + c
+        if a >= 0 and comb(e, a) * comb(e - a, b) % 2:
+            mons.append((2,) * (a + 2 * c) + (3,) * b)
+    return GradedPolyF2.from_monomials(n, mons)
+
+
+def test_sq_powers_of_w2_across_field_widths():
+    # the output degree 2e + i sets the packed field width, and these
+    # squares fill a field up to 2^k - 1 (15, 511, 1023) and pass it
+    # (16, 512, 1024)
     n = 3
     for e in (7, 255, 256):
-        p = w(*[1] * e, n=n)
-        assert sq(e, p) == w(*[1] * (2 * e), n=n)
-        for i in range(max(0, e - 9), e + 2):
-            want = w(*[1] * (e + i), n=n) if comb(e, i) % 2 else GradedPolyF2.zero(n)
-            assert sq(i, p) == want, (e, i)
+        p = w(*[2] * e, n=n)
+        assert sq_bso(2 * e, p) == p * p
+        for i in sorted({*range(12), *range(2 * e - 10, 2 * e + 3)}):
+            got = sq_bso(i, p)
+            assert got == _sq_w2_power(i, e, n), (e, i)
+            assert not got or got.width == (2 * e + i).bit_length(), (e, i)
 
 
 def test_sq_additive():
@@ -241,7 +261,7 @@ def test_sq_additive():
     p = GradedPolyF2.from_monomials(n, [(2, 3)])
     q = GradedPolyF2.from_monomials(n, [(5,)])
     for i in range(6):
-        assert sq(i, p + q) == sq(i, p) + sq(i, q)
+        assert sq_bso(i, p + q) == sq_bso(i, p) + sq_bso(i, q)
 
 
 # ---- packed terms -------------------------------------------------------------
@@ -272,17 +292,25 @@ def test_width_shrinks_back_when_the_top_degree_cancels():
     assert (back.width, back.terms) == (p.width, p.terms)
 
 
+def _partitions(d: int, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """The ascending tuples of parts in lo..hi that sum to d."""
+    if d == 0:
+        return [()]
+    parts = range(lo, min(d, hi) + 1)
+    return [(j, *rest) for j in parts for rest in _partitions(d - j, j, hi)]
+
+
 @pytest.mark.parametrize("n", [5, 12])
-def test_drop_w1_works_on_the_top_field(n):
-    # degree 7 fills w_1's field (w1^7 = 0b111); at n = 12 the layout stops
-    # at w_7, below n, so w_1's field sits lower in the int
-    mons = [(1,) * 7, (1, 2, 4), (2, 2, 3), (3, 4), (2, 5), (1, 1, 5)]
-    p = GradedPolyF2.from_monomials(n, mons)
-    assert p.width == 3
-    kept = drop_w1(p)
-    assert kept.monomials() == {m for m in mons if 1 not in m}
-    assert kept == GradedPolyF2.from_monomials(n, [m for m in mons if 1 not in m])
-    assert drop_w1(w(*[1] * 7, n=n)) == GradedPolyF2.zero(n)
+def test_sq_bso_masks_w1_in_the_top_field(n):
+    # output degree 4..7 gives 3-bit fields with w_1's on top; at n = 12
+    # the layout stops at w_7, below n, so w_1's field sits lower in the int
+    for d in range(2, 8):
+        for mon in _partitions(d, 2, n):
+            p = GradedPolyF2.from_monomials(n, [mon])
+            for i in range(0, 8 - d):
+                got = sq_bso(i, p)
+                assert got == sq_by_factors(i, mon, n), (i, mon)
+                assert not got or d + i < 4 or got.width == 3, (i, mon)
 
 
 def test_mul_across_widths_matches_tuple_oracle():
@@ -307,20 +335,20 @@ def test_instability_random():
     rng = random.Random(29)
     n = 9
     for _ in range(200):
-        mon = tuple(sorted(rng.choices(range(1, n + 1), k=rng.randint(1, 3))))
+        mon = tuple(sorted(rng.choices(range(2, n + 1), k=rng.randint(1, 3))))
         deg = sum(mon)
         p = GradedPolyF2.from_monomials(n, [mon])
-        assert not sq(deg + rng.randint(1, 4), p)
-        assert sq(deg, p) == p * p
+        assert not sq_bso(deg + rng.randint(1, 4), p)
+        assert sq_bso(deg, p) == p * p
 
 
 def test_homogeneity():
     rng = random.Random(31)
     n = 8
     for _ in range(60):
-        mon = tuple(sorted(rng.choices(range(1, n + 1), k=rng.randint(1, 3))))
+        mon = tuple(sorted(rng.choices(range(2, n + 1), k=rng.randint(1, 3))))
         i = rng.randint(0, sum(mon))
-        result = sq(i, GradedPolyF2.from_monomials(n, [mon]))
+        result = sq_bso(i, GradedPolyF2.from_monomials(n, [mon]))
         if result:
             assert result.degree() == sum(mon) + i
 
@@ -389,7 +417,7 @@ def test_theta4_matches_roots_oracle():
     want = GradedPolyF2.zero(n)
     for mon in theta3.monomials():
         want = want + oracle_sq_monomial(4, mon, n)
-    assert drop_w1(want) == j_ideal_generators(n)[3]
+    assert without_w1(want) == j_ideal_generators(n)[3]
 
 
 def test_presentation_shape_small_n():
@@ -451,13 +479,14 @@ def test_truncation_consistency_across_n():
 
 
 def test_sq_bso_equals_sq_then_drop():
+    # sq_by_factors is the full-ring square with its w_1 monomials removed
     rng = random.Random(37)
     n = 10
     for _ in range(60):
         mon = tuple(sorted(rng.choices(range(2, n + 1), k=rng.randint(1, 3))))
         p = GradedPolyF2.from_monomials(n, [mon])
         i = rng.randint(0, sum(mon))
-        assert sq_bso(i, p) == drop_w1(sq(i, p))
+        assert sq_bso(i, p) == sq_by_factors(i, mon, n)
 
 
 def test_j_requires_n_at_least_6():
