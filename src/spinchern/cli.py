@@ -116,7 +116,7 @@ def _check_chern_budget(weights: dict[int, int], cutoff: int) -> None:
     """
     if cutoff + 1 > MAX_SERIES_TERMS:
         raise UsageError(
-            f"cutoff {cutoff} needs {cutoff + 1} coefficients; the budget is {MAX_SERIES_TERMS}"
+            f"a {cutoff.bit_length()}-bit cutoff is over the {MAX_SERIES_TERMS}-coefficient budget"
         )
     bits, products = _chern_bounds(weights, cutoff)
     bits = max(bits, max((abs(a) for a in weights.values()), default=0).bit_length())

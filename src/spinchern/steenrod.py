@@ -20,9 +20,9 @@ the total degree in one more field above them, at bit J * width, where
 J = min(n, 2^width - 1): no monomial of degree below 2^width has a factor
 w_j with j > J (so J = n unless n is large against the degree).  A product
 of monomials is an integer sum and a square is a doubling.  The degree
-field makes degree and homogeneity a shift, a ``min`` and a ``max``, and
-inside one homogeneous polynomial descending int order is the order of the
-sorted index tuples (w_2 * w_3^2 is (2, 3, 3)), which is the print order.
+field makes homogeneity a shift, a ``min`` and a ``max``, and inside one
+homogeneous polynomial descending int order is the order of the sorted
+index tuples (w_2 * w_3^2 is (2, 3, 3)), which is the print order.
 ``GradedPolyF2.monomials`` decodes the ints into those tuples.
 
 Within one application of Sq^i the squares of generator powers are
@@ -135,14 +135,6 @@ class GradedPolyF2:
         return cls(n, terms, canonical)
 
     @classmethod
-    def zero(cls, n: int) -> GradedPolyF2:
-        return cls(n, frozenset(), 0)
-
-    @classmethod
-    def one(cls, n: int) -> GradedPolyF2:
-        return cls(n, frozenset({0}), 0)
-
-    @classmethod
     def generator(cls, j: int, n: int) -> GradedPolyF2:
         if not 1 <= j <= n:
             raise ValueError(f"generator index {j} out of range 1..{n}")
@@ -174,41 +166,8 @@ class GradedPolyF2:
         top, mask = _fields(self.n, width), (1 << width) - 1
         return tuple(j for j in range(1, top + 1) for _ in range((m >> (top - j) * width) & mask))
 
-    def _at(self, width: int) -> frozenset[int]:
-        """The terms with ``width``-bit fields (``width`` >= ``self.width``)."""
-        if width == self.width:
-            return self.terms
-        return frozenset(_spread(m, self.n, self.width, width) for m in self.terms)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __add__(self, other: GradedPolyF2) -> GradedPolyF2:
-        self._check(other)
-        width = max(self.width, other.width)
-        return GradedPolyF2.packed(self.n, self._at(width) ^ other._at(width), width)
-
-    def __mul__(self, other: GradedPolyF2) -> GradedPolyF2:
-        self._check(other)
-        if not self.terms or not other.terms:
-            return GradedPolyF2.zero(self.n)
-        width = ((max(self.terms) >> self._shift) + (max(other.terms) >> other._shift)).bit_length()
-        right = other._at(width)
-        out: set[int] = set()
-        for a in self._at(width):
-            out.symmetric_difference_update({a + b for b in right})
-        return GradedPolyF2.packed(self.n, out, width)
-
-    def _check(self, other: GradedPolyF2) -> None:
-        if self.n != other.n:
-            raise ValueError(f"generator bound mismatch: {self.n} vs {other.n}")
-
-    def degree(self) -> int:
-        """Degree of a homogeneous polynomial (0 for the zero polynomial)."""
-        if not self.is_homogeneous():
-            degs = sorted({m >> self._shift for m in self.terms})
-            raise ValueError(f"polynomial is not homogeneous: degrees {degs}")
-        return max(self.terms, default=0) >> self._shift
 
     def is_homogeneous(self) -> bool:
         shift = self._shift

@@ -12,7 +12,11 @@ operations the library no longer needs: powers, inversion and truncation
 of a ``TruncatedPoly``, read from and built from its term map.
 :func:`sq_by_factors` applies a Steenrod square one factor at a time on
 sorted tuples, skipping the Wu pieces with a w_1 factor: the reference for
-``spinchern.steenrod.sq_bso``.
+``spinchern.steenrod.sq_bso``.  :func:`poly_sum`, :func:`poly_product` and
+:func:`poly_degree` add, multiply and grade ``GradedPolyF2`` values, which
+the library only squares and prints; they go through index tuples alone
+(``from_monomials`` XORs repeated monomials, and packing adds up repeated
+indices).
 """
 
 from __future__ import annotations
@@ -368,8 +372,6 @@ def sq_by_factors(i: int, mon: tuple[int, ...], n: int) -> GradedPolyF2:
     suffix = [0] * (len(mon) + 1)
     for pos in range(len(mon) - 1, -1, -1):
         suffix[pos] = suffix[pos + 1] + mon[pos]
-    if i > suffix[0]:
-        return GradedPolyF2.zero(n)
     states: set[tuple[int, tuple[int, ...]]] = {(0, ())}
     for pos, j in enumerate(mon):
         cap = suffix[pos + 1]
@@ -381,3 +383,19 @@ def sq_by_factors(i: int, mon: tuple[int, ...], n: int) -> GradedPolyF2:
                         nxt ^= {(spent + s, tuple(sorted(partial + gmon)))}
         states = nxt
     return GradedPolyF2.from_monomials(n, [partial for spent, partial in states if spent == i])
+
+
+def poly_sum(n: int, *ps: GradedPolyF2) -> GradedPolyF2:
+    """The sum of polynomials in F2[w_1, ..., w_n] (0 for none)."""
+    return GradedPolyF2.from_monomials(n, [m for p in ps for m in p.monomials()])
+
+
+def poly_product(a: GradedPolyF2, b: GradedPolyF2) -> GradedPolyF2:
+    """a * b, one concatenated index tuple per pair of monomials."""
+    return GradedPolyF2.from_monomials(a.n, [x + y for x in a.monomials() for y in b.monomials()])
+
+
+def poly_degree(p: GradedPolyF2) -> int:
+    """The degree of a nonzero homogeneous polynomial."""
+    (d,) = {sum(m) for m in p.monomials()}
+    return d

@@ -549,14 +549,16 @@ def test_spawned_process_exit_codes():
     assert ok.returncode == 0, ok.stderr
     assert "indecomposable" in ok.stdout
 
-    usage = subprocess.run(
-        [sys.executable, "-m", "spinchern.cli", "prop2", "--m", "1..2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert usage.returncode == 2
-    assert "error:" in usage.stderr
+    # the second derives a cutoff of over 4,300 digits, more than Python prints
+    for argv in (("prop2", "--m", "1..2"), ("restrict", "--n", "1024", "9" * 4250 + "*delta+")):
+        usage = subprocess.run(
+            [sys.executable, "-m", "spinchern.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert usage.returncode == 2, usage.stderr
+        assert usage.stderr.count("error:") == 1 and "Traceback" not in usage.stderr
 
 
 def test_python_dash_m_spinchern_runs_the_cli(capsys):

@@ -20,10 +20,18 @@ from __future__ import annotations
 import hashlib
 import random
 from math import comb
+from typing import Iterable
 
 import pytest
 
-from oracles import MultiLaurent, elementary_symmetric, sq_by_factors
+from oracles import (
+    MultiLaurent,
+    elementary_symmetric,
+    poly_degree,
+    poly_product,
+    poly_sum,
+    sq_by_factors,
+)
 from spinchern.spin_reps import quillen_h
 from spinchern.steenrod import (
     GradedPolyF2,
@@ -205,11 +213,9 @@ def test_cartan_coherence_random():
         i = rng.randint(0, 8)
         pa = GradedPolyF2.from_monomials(n, [a])
         pb = GradedPolyF2.from_monomials(n, [b])
-        direct = sq_bso(i, pa * pb)
-        convolved = GradedPolyF2.zero(n)
-        for t in range(i + 1):
-            convolved = convolved + sq_bso(t, pa) * sq_bso(i - t, pb)
-        assert direct == convolved, (a, b, i)
+        direct = sq_bso(i, poly_product(pa, pb))
+        terms = (poly_product(sq_bso(t, pa), sq_bso(i - t, pb)) for t in range(i + 1))
+        assert direct == poly_sum(n, *terms), (a, b, i)
 
 
 def _random_power_monomial(rng: random.Random, lo: int, n: int) -> tuple[int, ...]:
@@ -249,7 +255,7 @@ def test_sq_powers_of_w2_across_field_widths():
     n = 3
     for e in (7, 255, 256):
         p = w(*[2] * e, n=n)
-        assert sq_bso(2 * e, p) == p * p
+        assert sq_bso(2 * e, p) == poly_product(p, p)
         for i in sorted({*range(12), *range(2 * e - 10, 2 * e + 3)}):
             got = sq_bso(i, p)
             assert got == _sq_w2_power(i, e, n), (e, i)
@@ -261,35 +267,36 @@ def test_sq_additive():
     p = GradedPolyF2.from_monomials(n, [(2, 3)])
     q = GradedPolyF2.from_monomials(n, [(5,)])
     for i in range(6):
-        assert sq_bso(i, p + q) == sq_bso(i, p) + sq_bso(i, q)
+        assert sq_bso(i, poly_sum(n, p, q)) == poly_sum(n, sq_bso(i, p), sq_bso(i, q))
 
 
 # ---- packed terms -------------------------------------------------------------
 
 
-def _tuple_product(a: GradedPolyF2, b: GradedPolyF2) -> set[tuple[int, ...]]:
+def _sorted_xor(monomials: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The mod-2 sum of index tuples in any order, each sorted."""
     out: set[tuple[int, ...]] = set()
-    for x in a.monomials():
-        for y in b.monomials():
-            out ^= {tuple(sorted(x + y))}
+    for mon in monomials:
+        out ^= {tuple(sorted(mon))}
     return out
 
 
 def test_inhomogeneous_polynomial_prints_in_tuple_order():
     p = GradedPolyF2.from_monomials(4, [(3,), (2, 3), (2,), (), (2, 2)])
     assert str(p) == "1 + w2 + w2^2 + w2*w3 + w3"
-    assert (str(GradedPolyF2.one(4)), str(GradedPolyF2.zero(4))) == ("1", "0")
+    one, zero = GradedPolyF2.from_monomials(4, [()]), GradedPolyF2.from_monomials(4, [])
+    assert (str(one), str(zero)) == ("1", "0")
 
 
 def test_width_shrinks_back_when_the_top_degree_cancels():
-    n = 6
-    p = w(2, 3, n=n) + w(5, n=n)  # degree 5: 3-bit fields
-    q = w(*[2] * 8, n=n) + w(3, 5, n=n)  # degrees 16 and 8: 5-bit fields
-    widened = p + q
-    assert widened.width > p.width
-    back = widened + q
-    assert back == p and hash(back) == hash(p)
-    assert (back.width, back.terms) == (p.width, p.terms)
+    # the square is taken on 5-bit fields for degree 16 + 1, but Sq^1 w2^8 = 0
+    # leaves only w3^2 = Sq^1(w2*w3), which needs 3
+    p = GradedPolyF2.from_monomials(6, [(2, 3), (2,) * 8])
+    want = w(3, 3, n=6)
+    got = sq_bso(1, p)
+    assert p.width == 5 and want.width == 3
+    assert got == want and hash(got) == hash(want)
+    assert (got.width, got.terms) == (want.width, want.terms)
 
 
 def _partitions(d: int, lo: int, hi: int) -> list[tuple[int, ...]]:
@@ -322,10 +329,11 @@ def test_mul_across_widths_matches_tuple_oracle():
             for top in (3, 12)
         )
         pa, pb = GradedPolyF2.from_monomials(n, a), GradedPolyF2.from_monomials(n, b)
-        want = _tuple_product(pa, pb)
-        got = pa * pb
+        assert pa.monomials() == _sorted_xor(a) and pb.monomials() == _sorted_xor(b), (a, b, n)
+        want = _sorted_xor(x + y for x in pa.monomials() for y in pb.monomials())
+        got = poly_product(pa, pb)
         assert got.monomials() == want, (a, b, n)
-        assert got == GradedPolyF2.from_monomials(n, want) == pb * pa
+        assert got == GradedPolyF2.from_monomials(n, want) == poly_product(pb, pa)
 
 
 # ---- instability --------------------------------------------------------------
@@ -339,7 +347,7 @@ def test_instability_random():
         deg = sum(mon)
         p = GradedPolyF2.from_monomials(n, [mon])
         assert not sq_bso(deg + rng.randint(1, 4), p)
-        assert sq_bso(deg, p) == p * p
+        assert sq_bso(deg, p) == poly_product(p, p)
 
 
 def test_homogeneity():
@@ -350,7 +358,7 @@ def test_homogeneity():
         i = rng.randint(0, sum(mon))
         result = sq_bso(i, GradedPolyF2.from_monomials(n, [mon]))
         if result:
-            assert result.degree() == sum(mon) + i
+            assert poly_degree(result) == sum(mon) + i
 
 
 # ---- mod-2 binomials ------------------------------------------------------------
@@ -384,7 +392,7 @@ def test_theta2_is_w3():
 
 
 def degrees(gens):
-    return tuple(g.degree() for g in gens)
+    return tuple(map(poly_degree, gens))
 
 
 def test_j_degrees():
@@ -414,9 +422,7 @@ def test_theta4_frozen_value():
 def test_theta4_matches_roots_oracle():
     n = 9
     theta3 = j_ideal_generators(n)[2]  # w2 w3 + w5
-    want = GradedPolyF2.zero(n)
-    for mon in theta3.monomials():
-        want = want + oracle_sq_monomial(4, mon, n)
+    want = poly_sum(n, *(oracle_sq_monomial(4, mon, n) for mon in theta3.monomials()))
     assert without_w1(want) == j_ideal_generators(n)[3]
 
 
@@ -435,7 +441,7 @@ def test_presentation_shape_large_n_depth_limited():
         h = quillen_h(n).h
         assert len(j_degrees_expected(h)) == h
         gens = j_ideal_generators(n, max_degree=17)
-        assert [g.degree() for g in gens] == [2, 3, 5, 9, 17]
+        assert degrees(gens) == (2, 3, 5, 9, 17)
 
 
 def test_max_degree_edges():
