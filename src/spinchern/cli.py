@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Callable
 
@@ -70,6 +71,7 @@ MAX_SERIES_TERMS = 2**18  # coefficients of one truncated series
 MAX_SERIES_BITS = 2**24  # one integral series, all its coefficients together
 MAX_COEFF_BITS = 14_000  # one printed integer; Python prints at most 4300 digits
 MAX_PRODUCT_WORK = 2**28  # coefficient products, each weighted by 8 + its 64-bit limbs
+MAX_DIGITS = 4300  # one numeral in an argument: Python's default int/str conversion limit
 
 
 class UsageError(Exception):
@@ -448,6 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    digits = max((len(run) for arg in argv for run in re.findall(r"\d+", arg)), default=0)
+    if digits > MAX_DIGITS:  # refused by its length: int() fails on it and argparse echoes it
+        sys.stderr.write(f"error: a {digits}-digit number is over the {MAX_DIGITS}-digit limit\n")
+        return USAGE_ERROR
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     if args.command == "restrict" and args.expression is None:

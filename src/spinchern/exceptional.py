@@ -14,7 +14,7 @@ square relation between Stiefel-Whitney and Chern classes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .char_classes import complexification_check, total_chern, total_sw_real
 from .laurent import TruncatedPoly
@@ -42,8 +42,7 @@ DECOMPOSABLE = "decomposable"
 NOT_IN_IMAGE = "not-in-image"
 
 
-@dataclass(frozen=True)
-class ExceptionalCase:
+class ExceptionalCase(NamedTuple):
     """One exceptional group with its spin restriction data.
 
     ``top_degree`` is the cohomological degree of the asserted top class
@@ -142,8 +141,7 @@ def indecomposable_in_image(u_power: int, h: int) -> str:
     return INDECOMPOSABLE if u_power == gen else DECOMPOSABLE
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Machine-checkable record of one case verification.
 
     ``to_dict`` is the case's entry in a theorem1 report.  The case
@@ -170,7 +168,7 @@ class VerificationReport:
     generates_image: bool
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = self._asdict()
         out["total_class"] = {str(k): v for k, v in sorted(self.total_class.items())}
         return out
 

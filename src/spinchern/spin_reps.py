@@ -26,8 +26,8 @@ classes agree; dimensions differ, which matters for the F4 audit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .laurent import signed_sum
 
@@ -41,15 +41,15 @@ TYPE_COMPLEX = "C"
 TYPE_QUATERNIONIC = "H"
 
 
-@dataclass(frozen=True)
-class SpinGroup:
+class SpinGroup(NamedTuple("SpinGroup", [("n", int)])):
     """Spin(n) for n >= 6, with m = floor(n/2) the rank of the maximal torus."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 6:
-            raise ValueError(f"Spin(n) requires n >= 6, got n = {self.n}")
+    def __new__(cls, n: int) -> SpinGroup:
+        if n < 6:
+            raise ValueError(f"Spin(n) requires n >= 6, got n = {n}")
+        return super().__new__(cls, n)
 
     @property
     def m(self) -> int:
@@ -67,21 +67,20 @@ class SpinGroup:
         return f"Spin({self.n})"
 
 
-@dataclass(frozen=True)
-class RepSymbol:
+class RepSymbol(NamedTuple("RepSymbol", [("kind", str), ("index", int)])):
     """One generator symbol: lambda_i, a (half-)spin representation, or a
-    trivial summand of a given dimension."""
+    trivial summand of a given dimension, its ``index``."""
 
-    kind: str  # "lambda" | "delta+" | "delta-" | "delta" | "triv"
-    index: int = 0  # lambda subscript, or the dimension of a trivial summand
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("lambda", "delta+", "delta-", "delta", "triv"):
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == "lambda" and self.index < 1:
+    def __new__(cls, kind: str, index: int = 0) -> RepSymbol:
+        if kind not in ("lambda", "delta+", "delta-", "delta", "triv"):
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        if kind == "lambda" and index < 1:
             raise ValueError("lambda index must be >= 1")
-        if self.kind == "triv" and self.index < 0:
+        if kind == "triv" and index < 0:
             raise ValueError("trivial summand dimension must be >= 0")
+        return super().__new__(cls, kind, index)
 
     def __str__(self) -> str:
         if self.kind == "lambda":
@@ -106,14 +105,13 @@ DELTA = RepSymbol("delta")
 _SORT_ORDER = {"triv": 0, "lambda": 1, "delta+": 2, "delta-": 3, "delta": 4}
 
 
-@dataclass(frozen=True)
-class RepExpr:
+class RepExpr(NamedTuple):
     """A formal integer combination of representation symbols.
 
     Multiplicities may be negative (virtual representations).
     """
 
-    terms: tuple[tuple[RepSymbol, int], ...] = field(default=())
+    terms: tuple[tuple[RepSymbol, int], ...] = ()
 
     @classmethod
     def from_dict(cls, d: dict[RepSymbol, int]) -> RepExpr:
@@ -288,8 +286,7 @@ _RADON_HURWITZ_OFFSETS = (-1, 0, 1, 2, 2, 3, 3, 3)
 _TABLE_VARIANT_OFFSETS = (-1, -1, 1, 1, 2, 2, 3, 2)
 
 
-@dataclass(frozen=True)
-class SpinorTypeInfo:
+class SpinorTypeInfo(NamedTuple):
     """Spinor type and the exponent h with deg z = 2^h for Spin(n)."""
 
     n: int

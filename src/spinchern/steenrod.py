@@ -38,9 +38,8 @@ the ideal that cuts the mod-2 cohomology of BSpin(n) out of that of BSO(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .spin_reps import quillen_h
 
@@ -107,8 +106,7 @@ class _ChunkText(dict):
         return map(self.__getitem__, (m >> shift & mask for m in order))
 
 
-@dataclass(frozen=True)
-class GradedPolyF2:
+class GradedPolyF2(NamedTuple):
     """A polynomial over F2 in graded generators w_1 ... w_n.
 
     ``terms`` holds one packed int per monomial at the canonical ``width``

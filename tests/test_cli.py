@@ -380,8 +380,9 @@ def test_json_reports_are_byte_identical(capsys):
     assert report["tool_version"]
 
 
-# sha256 of theorem1 reports as printed before VerificationReport.to_dict
-# became dataclasses.asdict; a report format change must update these on purpose
+# sha256 of theorem1 reports as printed before VerificationReport.to_dict was
+# built from the report's fields (now its NamedTuple _asdict); a report format
+# change must update these on purpose
 THEOREM1_DIGESTS = [
     (("--format", "json"),
      "c5dfc3ac74b6f23054adb1731c298c1005672f3d3b46356a44c8ce871ce2991b"),
@@ -549,8 +550,16 @@ def test_spawned_process_exit_codes():
     assert ok.returncode == 0, ok.stderr
     assert "indecomposable" in ok.stdout
 
-    # the second derives a cutoff of over 4,300 digits, more than Python prints
-    for argv in (("prop2", "--m", "1..2"), ("restrict", "--n", "1024", "9" * 4250 + "*delta+")):
+    # the second derives a cutoff of over 4,300 digits, more than Python prints;
+    # the last three hold a 5,000-digit numeral, refused by its length, not echoed
+    nines = "9" * 5000
+    for argv in (
+        ("prop2", "--m", "1..2"),
+        ("restrict", "--n", "1024", "9" * 4250 + "*delta+"),
+        ("restrict", "--n", "12", nines + "*lambda1"),
+        ("quillen", "--n", nines),
+        ("restrict", "--n", "12", "--cutoff", nines, "lambda1"),
+    ):
         usage = subprocess.run(
             [sys.executable, "-m", "spinchern.cli", *argv],
             capture_output=True,
@@ -559,6 +568,19 @@ def test_spawned_process_exit_codes():
         )
         assert usage.returncode == 2, usage.stderr
         assert usage.stderr.count("error:") == 1 and "Traceback" not in usage.stderr
+        assert len(usage.stderr) < 200 and "set_int_max_str_digits" not in usage.stderr
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # they cost a fifth of the CLI's start-up; -S keeps site's own imports out
+    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
+    code = ("import sys, spinchern.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_python_dash_m_spinchern_runs_the_cli(capsys):

@@ -259,3 +259,9 @@ def test_report_serialization_is_json_friendly():
     report = verify_case(get_case("E8"))
     payload = json.dumps(report.to_dict(), sort_keys=True)
     assert '"passed": true' in payload
+    # reports and cases are immutable values
+    assert verify_case(get_case("E8")) == report
+    with pytest.raises(AttributeError):
+        report.passed = False
+    with pytest.raises(AttributeError):
+        get_case("E8").top_degree = 64

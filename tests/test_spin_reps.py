@@ -63,6 +63,20 @@ def test_symbol_validity():
             circle_weights(g, sym)
         with pytest.raises(ValueError):
             character_on_Tm(g, sym)
+    for kind, index in (("bogus", 0), ("lambda", 0), ("triv", -1)):
+        with pytest.raises(ValueError):
+            RepSymbol(kind, index)
+
+
+def test_records_are_immutable_hashable_values():
+    # equal symbols hash equal, which parse_expr relies on to merge terms
+    assert RepSymbol("lambda", 2) == lam(2) and hash(RepSymbol("lambda", 2)) == hash(lam(2))
+    assert {lam(2): 1}[RepSymbol("lambda", 2)] == 1
+    assert {SpinGroup(9): "F4"}[SpinGroup(9)] == "F4" and quillen_h(9) == quillen_h(9)
+    for record, field in ((SpinGroup(9), "n"), (lam(2), "index"), (RepExpr(), "terms"),
+                          (quillen_h(9), "h")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
 
 
 # ---- characters on T^m ---------------------------------------------------------
@@ -169,6 +183,7 @@ def test_expression_restriction_f4():
 
 
 def test_empty_expression_restricts_to_zero():
+    assert RepExpr().terms == () and str(RepExpr()) == "0"
     assert circle_weights(SpinGroup(9), RepExpr()) == {}
     g = SpinGroup(12)
     for text in ("lambda1 - lambda1", "triv:0", "delta+ - delta+", "0"):

@@ -295,8 +295,10 @@ def test_width_shrinks_back_when_the_top_degree_cancels():
     want = w(3, 3, n=6)
     got = sq_bso(1, p)
     assert p.width == 5 and want.width == 3
-    assert got == want and hash(got) == hash(want)
+    assert got == want and hash(got) == hash(want) and {want: 1}[got] == 1
     assert (got.width, got.terms) == (want.width, want.terms)
+    with pytest.raises(AttributeError):
+        got.width = 5
 
 
 def _partitions(d: int, lo: int, hi: int) -> list[tuple[int, ...]]:
