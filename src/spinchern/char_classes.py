@@ -40,19 +40,16 @@ def is_palindromic(weights: WeightMultiset) -> bool:
     return all(a == weights.get(-k, 0) for k, a in weights.items())
 
 
-def _binomial_factor(k: int, mult: int, cutoff: int) -> TruncatedPoly:
-    """(1 + k*u)^mult over Z, truncated, by direct binomial expansion.
+def _binomial_factor(k: int, mult: int, cutoff: int) -> list[int]:
+    """The coefficients of (1 + k*u)^mult over Z up to u^cutoff, by direct
+    binomial expansion; k and mult are nonzero.
 
     A negative ``mult`` gives the binomial series, which runs up to the
     cutoff: binom(mult, j) = (-1)^j binom(j - mult - 1, j).
     """
-    if k == 0 or mult == 0:
-        return TruncatedPoly.one("Z", cutoff)
     if mult > 0:
-        terms = {j: comb(mult, j) * k**j for j in range(min(mult, cutoff) + 1)}
-    else:
-        terms = {j: comb(j - mult - 1, j) * (-k) ** j for j in range(cutoff + 1)}
-    return TruncatedPoly("Z", cutoff, terms)
+        return [comb(mult, j) * k**j for j in range(min(mult, cutoff) + 1)]
+    return [comb(j - mult - 1, j) * (-k) ** j for j in range(cutoff + 1)]
 
 
 def _odd_binomials(n: int, cutoff: int) -> Iterator[int]:
@@ -76,21 +73,27 @@ def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> Trunca
 
     The multiplicities a_k may be negative, so one routine serves genuine
     and virtual characters: c(pos - neg) = c(pos) * c(neg)^{-1} by the
-    Whitney formula.  ``ring`` is ``"Z"`` for the integral class or
-    ``"F2"`` for its mod-2 reduction, which is (1 + u)^N with N the signed
-    count of odd weights.  Its terms are the u^j with binom(N, j) odd, that
-    is, by Lucas' theorem, the j <= cutoff that are 2-adic submasks of
-    N mod 2^L for any 2^L > cutoff; they are enumerated directly, so the F2
+    Whitney formula.  ``ring`` is ``"Z"`` for the integral class, the
+    schoolbook product of the binomial factors in one dense coefficient
+    list, or ``"F2"`` for its mod-2 reduction (1 + u)^N, N the signed count
+    of odd weights, whose terms :func:`_odd_binomials` lists, so the F2
     class costs its number of terms, not its cutoff.  Reduction mod 2 is a
     ring homomorphism, so ``total_chern(w, c, "F2") == mod2(total_chern(w, c))``.
     """
     if ring == "F2":
         odd = sum(a for k, a in weights.items() if k % 2)
         return TruncatedPoly("F2", cutoff, dict.fromkeys(_odd_binomials(odd, cutoff), 1))
-    out = TruncatedPoly.one(ring, cutoff)
-    for k in sorted(weights):
-        out = out * _binomial_factor(k, weights[k], cutoff)
-    return out
+    out = [1]  # the dense coefficients of the product so far
+    for k, a in sorted(weights.items()):
+        if k and a:  # weight 0 and zero multiplicities give the factor 1
+            factor = _binomial_factor(k, a, cutoff)
+            product = [0] * min(cutoff + 1, len(out) + len(factor) - 1)
+            for i, c in enumerate(out):
+                if c:
+                    for j, b in enumerate(factor[: len(product) - i]):
+                        product[i + j] += c * b
+            out = product
+    return TruncatedPoly(ring, cutoff, dict(enumerate(out)))
 
 
 def mod2(c: TruncatedPoly) -> TruncatedPoly:
@@ -143,4 +146,4 @@ def vanishing_on_bso_check(g: SpinGroup, cutoff: int = 32) -> bool:
     Spin(n) -> SO(n) kills reduced mod-2 cohomology.
     """
     weights = circle_weights(g, lam(1), PAPER_LITERAL)
-    return total_sw_real(weights, cutoff) == TruncatedPoly.one("F2", cutoff)
+    return total_sw_real(weights, cutoff) == TruncatedPoly("F2", cutoff, {0: 1})

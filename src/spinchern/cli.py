@@ -50,6 +50,7 @@ from .spin_reps import (
     lam,
     parse_expr,
     quillen_h,
+    shown,
 )
 from .steenrod import j_degrees_expected, j_ideal_generators
 
@@ -144,9 +145,9 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
         else:
             raise ValueError
     except ValueError:
-        raise UsageError(f"cannot parse {what} range {text!r}; use N or A..B") from None
+        raise UsageError(f"cannot parse {what} range {shown(text)}; use N or A..B") from None
     if lo > hi:
-        raise UsageError(f"empty {what} range {text!r}")
+        raise UsageError(f"empty {what} range {shown(text)}")
     return lo, hi
 
 
@@ -157,7 +158,7 @@ def run_prop2(m_lo: int, m_hi: int) -> dict:
     Each series is cut at twice the spinor dimension, past the top class.
     """
     if not 3 <= m_lo <= m_hi <= 16:
-        raise UsageError(f"m range must sit inside 3..16, got {m_lo}..{m_hi}")
+        raise UsageError(f"m range must sit inside 3..16, got {shown(m_lo)}..{shown(m_hi)}")
     checks = []
     for m in range(m_lo, m_hi + 1):
         for n in (2 * m, 2 * m + 1):
@@ -202,7 +203,7 @@ def run_quillen(n_lo: int, n_hi: int, full_j: bool, generators: bool = True) -> 
     reports print only their degrees, so they expand none, and only json
     reports meet the ``--full-j`` budget."""
     if not 6 <= n_lo <= n_hi <= MAX_N:
-        raise UsageError(f"n range must sit inside 6..{MAX_N}, got {n_lo}..{n_hi}")
+        raise UsageError(f"n range must sit inside 6..{MAX_N}, got {shown(n_lo)}..{shown(n_hi)}")
     if n_hi - n_lo + 1 > MAX_QUILLEN_ROWS:
         raise UsageError(f"{n_hi - n_lo + 1} rows requested; the budget is {MAX_QUILLEN_ROWS}")
     if generators and full_j and 2 ** (quillen_h(n_hi).h - 1) + 1 > MAX_FULL_J_DEGREE:
@@ -236,7 +237,7 @@ def run_quillen(n_lo: int, n_hi: int, full_j: bool, generators: bool = True) -> 
 
 def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -> dict:
     if not 6 <= n <= MAX_N:
-        raise UsageError(f"n must sit inside 6..{MAX_N}, got {n}")
+        raise UsageError(f"n must sit inside 6..{MAX_N}, got {shown(n)}")
     try:
         expr = parse_expr(expression)
         weights = circle_weights(SpinGroup(n), expr, convention)

@@ -225,7 +225,7 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
     weights = circle_weights(case.spin_group, case.restriction, convention)
     chern_f2 = total_chern(weights, cutoff, "F2")
     series = chern_f2 if case.class_kind == CHERN_KIND else total_sw_real(weights, cutoff)
-    top_coeff = series.coefficient(top_u)
+    top_coeff = series.terms.get(top_u, 0)
     shape_ok = _is_one_plus(series, top_u)
     membership = indecomposable_in_image(top_u, h) if top_coeff else NOT_IN_IMAGE
     notes = [] if shape_ok else [f"total class is {series}, expected 1 + {_u_power_str(top_u)}"]

@@ -6,8 +6,9 @@ A value is its term map ``{k: c}``: it is built from one and stores only
 the nonzero terms, so a class such as 1 + u^65536 costs two entries
 whatever its cutoff.  Coefficients are Python ints throughout,
 so nothing overflows or rounds, and equality of values is equality of
-truncated polynomials.  Circle characters are signed weight maps (see
-:mod:`spinchern.spin_reps`), not values of this module.
+truncated polynomials.  Values have no arithmetic: ``total_chern`` forms
+the one product the package needs.  Circle characters are signed weight
+maps (see :mod:`spinchern.spin_reps`), not values of this module.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class TruncatedPoly:
     ``terms`` is what remains, in ascending k with every F2 coefficient 1,
     so equal values have equal ``terms``; treat it as read-only.  The
     generator u carries cohomological degree 2, so k represents degree 2k.
-    Every operation discards powers above the cutoff.
+    A value is its ring, cutoff and terms, with equality and printing only.
     """
 
     __slots__ = ("ring", "cutoff", "terms")
@@ -66,22 +67,6 @@ class TruncatedPoly:
         else:
             self.terms = {k: c for k in keys if (c := terms[k])}
 
-    @classmethod
-    def one(cls, ring: str, cutoff: int) -> TruncatedPoly:
-        return cls(ring, cutoff, {0: 1})
-
-    # ---- inspection -------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """The tuple of all cutoff + 1 coefficients: a read-only dense view,
-        kept only because ``perfbench/spans.py`` counts products from it;
-        the package reads ``terms``."""
-        return tuple(self.terms.get(k, 0) for k in range(self.cutoff + 1))
-
-    def coefficient(self, k: int) -> int:
-        return self.terms.get(k, 0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
@@ -93,34 +78,6 @@ class TruncatedPoly:
 
     def __hash__(self) -> int:
         return hash((self.ring, self.cutoff, tuple(self.terms.items())))
-
-    def _check_compat(self, other: TruncatedPoly) -> None:
-        if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
-        if self.cutoff != other.cutoff:
-            raise ValueError(f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
-
-    # ---- arithmetic ------------------------------------------------------
-
-    def __mul__(self, other: TruncatedPoly) -> TruncatedPoly:
-        self._check_compat(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return TruncatedPoly(self.ring, self.cutoff, {})
-        pairs = list(b.items())
-        top = min(self.cutoff, next(reversed(a)) + pairs[-1][0])
-        out = [0] * (top + 1)
-        for i, ca in a.items():
-            room = top - i
-            for j, cb in pairs:
-                if j > room:
-                    break
-                out[i + j] += ca * cb
-        return TruncatedPoly(self.ring, self.cutoff, {k: c for k, c in enumerate(out) if c})
-
-    # ---- formatting --------------------------------------------------------
 
     def __str__(self) -> str:
         return signed_sum(

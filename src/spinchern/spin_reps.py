@@ -127,6 +127,24 @@ class RepExpr(NamedTuple):
         return signed_sum((c, "" if sym == triv(1) else str(sym)) for sym, c in self.terms)
 
 
+MAX_SHOWN = 40  # characters of one input value that an error message repeats
+
+
+def shown(value: int | str) -> str:
+    """An input value for error text: its repr, or its length alone past
+    ``MAX_SHOWN`` characters, so an error line stays short whatever the input.
+
+    >>> shown("lambda1"), shown(-12), shown("x" * 50), shown(-(10**60))
+    ("'lambda1'", '-12', 'a 50-character string', 'a 61-digit number')
+    """
+    text = str(value)
+    if len(text) <= MAX_SHOWN:
+        return repr(value)
+    if isinstance(value, int):
+        return f"a {len(text.lstrip('-'))}-digit number"
+    return f"a {len(text)}-character string"
+
+
 _TERM_RE = re.compile(
     r"^(?:(?P<mult>-?\d+)\s*\*\s*|(?P<neg>-)(?=[a-z]))?"
     r"(?P<sym>lambda(?P<lami>\d+)|delta\+|delta-|delta|triv:(?P<trivk>\d+)|(?P<const>-?\d+))$"
@@ -157,7 +175,7 @@ def parse_expr(text: str) -> RepExpr:
             continue
         m = _TERM_RE.match(chunk.strip())
         if not m:
-            raise ValueError(f"cannot parse term {chunk!r} in expression {text!r}")
+            raise ValueError(f"cannot parse term {shown(chunk)}")
         mult = sign * (int(m.group("mult")) if m.group("mult") else -1 if m.group("neg") else 1)
         if m.group("const") is not None:
             k = int(m.group("const"))
@@ -181,7 +199,7 @@ def _check_symbol(g: SpinGroup, sym: RepSymbol) -> None:
         raise ValueError(f"{sym.kind} is only defined for even n (got {g})")
     if sym.kind == "lambda" and not 1 <= sym.index <= g.max_lambda_index():
         raise ValueError(
-            f"lambda{sym.index} is outside the presentation range "
+            f"lambda index {shown(sym.index)} is outside the presentation range "
             f"1..{g.max_lambda_index()} for {g}"
         )
 

@@ -8,8 +8,8 @@ representation-ring symbol (up to 3^m terms), which :func:`circle_oracle`
 collapses to the first circle factor; :func:`lambda_characters` expands
 every exterior power at once.  The
 ``series_*`` functions and :func:`truncate` are the truncated-series
-operations the library no longer needs: powers, inversion and truncation
-of a ``TruncatedPoly``, read from and built from its term map.
+operations the library does not offer: products, powers, inversion and
+truncation of a ``TruncatedPoly``, read from and built from its term map.
 :func:`sq_by_factors` applies a Steenrod square one factor at a time on
 sorted tuples, skipping the Wu pieces with a w_1 factor: the reference for
 ``spinchern.steenrod.sq_bso``.  :func:`poly_sum`, :func:`poly_product` and
@@ -319,15 +319,32 @@ def circle_oracle(
 # ---- truncated series -----------------------------------------------------------
 
 
+def series_product(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
+    """p * q truncated at their common cutoff, one pair of terms at a time.
+
+    The two factors must share their ring and their cutoff.
+    """
+    if p.ring != q.ring:
+        raise ValueError(f"ring mismatch: {p.ring} vs {q.ring}")
+    if p.cutoff != q.cutoff:
+        raise ValueError(f"cutoff mismatch: {p.cutoff} vs {q.cutoff}")
+    out: dict[int, int] = {}
+    for i, a in p.terms.items():
+        for j, b in q.terms.items():
+            if i + j <= p.cutoff:
+                out[i + j] = out.get(i + j, 0) + a * b
+    return TruncatedPoly(p.ring, p.cutoff, out)
+
+
 def series_pow(p: TruncatedPoly, k: int) -> TruncatedPoly:
     """p^k for k >= 0, by repeated squaring."""
     if k < 0:
         raise ValueError("negative powers go through series_inverse")
-    result = TruncatedPoly.one(p.ring, p.cutoff)
+    result = TruncatedPoly(p.ring, p.cutoff, {0: 1})
     while k:
         if k & 1:
-            result = result * p
-        p = p * p if k > 1 else p
+            result = series_product(result, p)
+        p = series_product(p, p) if k > 1 else p
         k >>= 1
     return result
 

@@ -17,7 +17,7 @@ from spinchern.char_classes import (
     total_sw_real,
     vanishing_on_bso_check,
 )
-from oracles import series_inverse, series_pow
+from oracles import series_inverse, series_pow, series_product
 from spinchern.laurent import TruncatedPoly
 from spinchern.spin_reps import (
     DELTA,
@@ -34,7 +34,7 @@ from spinchern.steenrod import binom_mod2
 
 
 def one(ring: str, cutoff: int) -> TruncatedPoly:
-    return TruncatedPoly.one(ring, cutoff)
+    return TruncatedPoly(ring, cutoff, {0: 1})
 
 
 def random_weights(rng: random.Random, lo: int = -6, hi: int = 6) -> dict[int, int]:
@@ -125,8 +125,13 @@ def test_total_chern_of_lambda_restrictions():
 
 
 def test_total_chern_of_trivial_weights():
-    assert total_chern({0: 7}, 8) == one("Z", 8)
-    assert total_chern({}, 8) == one("Z", 8)
+    # weight 0, of either sign, and zero multiplicities contribute the factor 1
+    for w in ({}, {0: 7}, {0: -3}, {1: 0}, {0: 5, -2: 0, 1: 0}):
+        assert total_chern(w, 8) == one("Z", 8), w
+    # so (1 + 2u)^3 whatever rides along with it
+    cube = TruncatedPoly("Z", 6, {j: comb(3, j) * 2**j for j in range(4)})
+    for w in ({2: 3}, {1: 0, 2: 3}, {0: -4, 2: 3}, {-1: 0, 0: 2, 2: 3, -2: 0}):
+        assert total_chern(w, 6) == cube, w
 
 
 def test_whitney_multiplicativity():
@@ -138,7 +143,7 @@ def test_whitney_multiplicativity():
         for k, a in w2.items():
             union[k] = union.get(k, 0) + a
         got = total_chern(union, 24)
-        assert got == total_chern(w1, 24) * total_chern(w2, 24)
+        assert got == series_product(total_chern(w1, 24), total_chern(w2, 24))
 
 
 def test_conjugation_symmetry():
@@ -155,7 +160,7 @@ def test_conjugation_symmetry():
         expected = one("Z", 24)
         for k, a in sorted(pairs.items()):
             factor = TruncatedPoly("Z", 24, {0: 1, 2: -k * k})
-            expected = expected * series_pow(factor, a)
+            expected = series_product(expected, series_pow(factor, a))
         assert got == expected
         assert all(c == 0 for j, c in got.terms.items() if j % 2)
 
@@ -176,9 +181,8 @@ def test_virtual_self_cancels():
 def test_virtual_geometric_expansion():
     got = total_chern(signed({1: 1}, {2: 1}), 6)
     # (1 + u) * (1 + 2u)^{-1}, checked by re-multiplying
-    assert got * total_chern({2: 1}, 6) == total_chern({1: 1}, 6)
-    expected = [1, -1, 2, -4, 8, -16, 32]
-    assert list(got.coeffs) == expected
+    assert series_product(got, total_chern({2: 1}, 6)) == total_chern({1: 1}, 6)
+    assert got.terms == dict(enumerate([1, -1, 2, -4, 8, -16, 32]))
 
 
 def test_virtual_round_trip_random():
@@ -187,12 +191,22 @@ def test_virtual_round_trip_random():
         pos = random_weights(rng)
         neg = random_weights(rng)
         virt = total_chern(signed(pos, neg), 16)
-        assert virt * total_chern(neg, 16) == total_chern(pos, 16)
+        assert series_product(virt, total_chern(neg, 16)) == total_chern(pos, 16)
 
 
 def test_negative_multiplicity_is_binomial_series():
     # (1 + 2u)^{-1} = sum of (-2u)^j
-    assert total_chern({2: -1}, 6).coeffs == (1, -2, 4, -8, 16, -32, 64)
+    assert total_chern({2: -1}, 6).terms == dict(enumerate((1, -2, 4, -8, 16, -32, 64)))
+    # (1 + k u)^-a = sum of binom(a + j - 1, j) (-k u)^j, at every moving
+    # weight, beside weight-0 entries and zero multiplicities
+    for k in (-2, -1, 1, 2):
+        for a in (1, 2, 5):
+            expected = TruncatedPoly("Z", 12, {j: comb(a + j - 1, j) * (-k) ** j for j in range(13)})
+            assert total_chern({k: -a}, 12) == expected, (k, a)
+            assert total_chern({k: -a, 0: -a, -k: 0}, 12) == expected, (k, a)
+            # a conjugate pair: (1 - k^2 u^2)^-a
+            pair = {2 * j: comb(a + j - 1, j) * k ** (2 * j) for j in range(7)}
+            assert total_chern({k: -a, -k: -a}, 12) == TruncatedPoly("Z", 12, pair), (k, a)
 
 
 def test_signed_weights_match_series_division_oracle():
@@ -205,7 +219,7 @@ def test_signed_weights_match_series_division_oracle():
         pos = {k: a for k, a in w.items() if a > 0}
         neg = {k: -a for k, a in w.items() if a < 0}
         got = total_chern(w, 24)
-        assert got == total_chern(pos, 24) * series_inverse(total_chern(neg, 24)), w
+        assert got == series_product(total_chern(pos, 24), series_inverse(total_chern(neg, 24))), w
         assert total_chern(w, 24, "F2") == mod2(got), w
 
 
@@ -231,7 +245,7 @@ def test_f2_class_is_a_power_of_one_plus_u():
     # only odd weights count mod 2: (1 + u)^(3 - 1) = 1 + u^2
     assert total_chern({1: 3, 2: 5, -3: -1, 0: 4}, 8, "F2").terms == {0: 1, 2: 1}
     # (1 + u)^-1 = 1 + u + u^2 + ... up to the cutoff
-    assert total_chern({1: -1, 4: 2}, 6, "F2").coeffs == (1,) * 7
+    assert total_chern({1: -1, 4: 2}, 6, "F2").terms == dict.fromkeys(range(7), 1)
     assert total_chern({2: 9}, 6, "F2") == one("F2", 6)
     # the row stops at u^N, and the cutoff truncates it
     assert total_chern({-1: 4}, 2, "F2").terms == {0: 1}
@@ -246,7 +260,7 @@ def test_f2_lucas_terms_match_dense_binomial_row():
             dense = TruncatedPoly("F2", cutoff, {j: binom_mod2(n, j) for j in range(top + 1)})
             got = total_chern({1: n}, cutoff, "F2")
             assert got == dense, (n, cutoff)
-            assert got.coeffs == dense.coeffs, (n, cutoff)
+            assert list(got.terms.items()) == list(dense.terms.items()), (n, cutoff)
 
 
 def test_f2_spinor_class_at_m16_is_two_terms():
@@ -272,7 +286,7 @@ def test_sw_of_f4_restriction():
     sw = total_sw_real(circle_weights(g, expr), 16)
     assert sw == TruncatedPoly("F2", 16, {0: 1, 8: 1})
     # w_16 is the u^8 coefficient
-    assert sw.coefficient(8) == 1
+    assert sw.terms.get(8) == 1
 
 
 def test_sw_of_e8_restriction():
@@ -306,7 +320,7 @@ def test_complexification_check_f4():
     assert complexification_check(w, 32)
     # explicitly: (1 + u^8)^2 == 1 + u^16
     sw = total_sw_real(w, 32)
-    assert sw * sw == mod2(total_chern(w, 32))
+    assert series_product(sw, sw) == mod2(total_chern(w, 32))
 
 
 def test_complexification_check_constant():
@@ -321,7 +335,7 @@ def test_complexification_random_palindromic():
         for cutoff in (64, 11):  # 11 drops the top squares of larger maps
             sw = total_sw_real(w, cutoff)
             chern2 = mod2(total_chern(w, cutoff))
-            assert _f2_square(sw) == sw * sw == chern2
+            assert _f2_square(sw) == series_product(sw, sw) == chern2
 
 
 # ---- vanishing on BSO -------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_restrict_virtual_with_moving_weights_on_both_sides(capsys):
         "Z", 64, {int(k): c for k, c in report["total_chern"].items()}
     )
     # Whitney round trip: c(pos - neg) * c(neg) == c(pos)
-    assert chern * total_chern(neg, 64) == total_chern(pos, 64)
+    assert oracles.series_product(chern, total_chern(neg, 64)) == total_chern(pos, 64)
 
 
 @pytest.mark.parametrize(
@@ -274,7 +274,7 @@ def test_budgets_admit_the_largest_documented_runs(capsys):
 @settings(max_examples=150, deadline=None)
 def test_chern_bounds_cover_the_computed_series(weights, cutoff):
     bits, _ = _chern_bounds(weights, cutoff)
-    widest = max(abs(c).bit_length() for c in total_chern(weights, cutoff).coeffs)
+    widest = max(abs(c).bit_length() for c in total_chern(weights, cutoff).terms.values())
     assert widest <= bits
 
 
@@ -462,6 +462,12 @@ REPORT_DIGESTS = [
      "3e95cc6540254e83837142245536ee0123faf9199ececceeb2aa9fce40045d95"),
     (("prop2", "--m", "13..16", "--format", "plain"),
      "b037d76584f78ae77a86d2c9c8876f0b41719a0a2c70e4960befd1fb9bac8a50"),
+    # big-integer Whitney products at n = 17 (1,522- and 1,633-bit coefficients):
+    # a virtual class, a binomial series at weights +-2, and a genuine one
+    (("restrict", "--n", "17", "--cutoff", "512", "--format", "json", "lambda1 - 3*lambda7"),
+     "314c1d917c0611fbde41cb75ff2f64031dc99d0aeccf48137848fe3e226895b4"),
+    (("restrict", "--n", "17", "--cutoff", "512", "--format", "json", "3*delta + 3*lambda6"),
+     "1b4dde578ca3ed46177db3a71c4cdda0a62167353c04466875260ca27aaafa5f"),
 ]
 
 
@@ -551,14 +557,21 @@ def test_spawned_process_exit_codes():
     assert "indecomposable" in ok.stdout
 
     # the second derives a cutoff of over 4,300 digits, more than Python prints;
-    # the last three hold a 5,000-digit numeral, refused by its length, not echoed
-    nines = "9" * 5000
+    # the next three hold a 5,000-digit numeral, refused by its length, not
+    # echoed; the rest hold a value that an error message names by its length
+    nines, most = "9" * 5000, "9" * 4300
     for argv in (
         ("prop2", "--m", "1..2"),
         ("restrict", "--n", "1024", "9" * 4250 + "*delta+"),
         ("restrict", "--n", "12", nines + "*lambda1"),
         ("quillen", "--n", nines),
         ("restrict", "--n", "12", "--cutoff", nines, "lambda1"),
+        ("quillen", "--n", most),
+        ("prop2", "--m", most),
+        ("prop2", "--m", "3.." + most),
+        ("restrict", "--n", most, "lambda1"),
+        ("restrict", "--n", "12", "lambda" + most),
+        ("restrict", "--n", "12", "x" * 5000),
     ):
         usage = subprocess.run(
             [sys.executable, "-m", "spinchern.cli", *argv],
