@@ -12,6 +12,7 @@ for the classical low-dimensional representations of F4, E6, E7 and E8.
 __version__ = "0.1.0"
 
 from .char_classes import (
+    TruncatedPoly,
     VirtualCharacterError,
     complexification_check,
     is_palindromic,
@@ -29,7 +30,6 @@ from .exceptional import (
     verify_all,
     verify_case,
 )
-from .laurent import TruncatedPoly
 from .spin_reps import (
     CONVENTIONS,
     DELTA,

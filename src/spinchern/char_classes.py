@@ -16,18 +16,69 @@ z^-k) each conjugate pair {k, -k} is the complexification of one real
 the real class calculus and the c = w^2 cross-check.
 
 A single generator u of cohomological degree 2 serves both the integral and
-the mod-2 series: c_k and w_{2k} both read off the u^k coefficient.
+the mod-2 series: c_k and w_{2k} both read off the u^k coefficient.  A total
+class is a :class:`TruncatedPoly`, a series in u cut above a chosen power:
+its ring, its cutoff and its nonzero terms, so 1 + u^65536 costs two
+entries whatever the cutoff.  Coefficients are Python ints throughout, so
+nothing overflows or rounds.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator
+from typing import Iterator, Mapping
 
-from .laurent import TruncatedPoly
-from .spin_reps import PAPER_LITERAL, SpinGroup, circle_weights, lam
+from .spin_reps import PAPER_LITERAL, SpinGroup, circle_weights, lam, signed_sum
 
 WeightMultiset = dict[int, int]
+
+
+def u_text(k: int) -> str:
+    """The text of u^k: ``1``, ``u`` or ``u^k``."""
+    return "1" if k == 0 else ("u" if k == 1 else f"u^{k}")
+
+
+class TruncatedPoly:
+    """A polynomial in one generator u, truncated above u^cutoff.
+
+    ``ring`` is ``"Z"`` or ``"F2"``.  ``TruncatedPoly(ring, cutoff, terms)``
+    takes a map ``{k: c}`` from powers of u to coefficients; keys outside
+    0..cutoff and zero coefficients (over F2, the even ones) are dropped.
+    ``terms`` is what remains, in ascending k with every F2 coefficient 1,
+    so equal values have equal ``terms``; treat it as read-only.  The
+    generator u carries cohomological degree 2, so k represents degree 2k.
+    A value is its ring, cutoff and terms, with equality and printing only:
+    :func:`total_chern` forms the one product the package needs.
+    """
+
+    __slots__ = ("ring", "cutoff", "terms")
+
+    def __init__(self, ring: str, cutoff: int, terms: Mapping[int, int]):
+        if ring not in ("Z", "F2"):
+            raise ValueError(f"ring must be 'Z' or 'F2', got {ring!r}")
+        if cutoff < 0:
+            raise ValueError("cutoff must be nonnegative")
+        self.ring = ring
+        self.cutoff = cutoff
+        keys = sorted(k for k in terms if 0 <= k <= cutoff)
+        if ring == "F2":
+            self.terms = {k: 1 for k in keys if terms[k] & 1}
+        else:
+            self.terms = {k: c for k in keys if (c := terms[k])}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedPoly):
+            return NotImplemented
+        return (self.ring, self.cutoff, self.terms) == (other.ring, other.cutoff, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.cutoff, tuple(self.terms.items())))
+
+    def __str__(self) -> str:
+        return signed_sum((c, u_text(k) if k else "") for k, c in self.terms.items())
+
+    def __repr__(self) -> str:
+        return f"TruncatedPoly({self.ring!r}, {self.cutoff}, '{self}')"
 
 
 class VirtualCharacterError(ValueError):

@@ -33,9 +33,8 @@ import sys
 from typing import Callable
 
 from . import __version__
-from .char_classes import is_palindromic, mod2, total_chern, total_sw_real
+from .char_classes import TruncatedPoly, is_palindromic, mod2, total_chern, total_sw_real
 from .exceptional import GROUP_ORDER, verify_all
-from .laurent import TruncatedPoly
 from .spin_reps import (
     CONVENTIONS,
     DELTA,
@@ -409,8 +408,28 @@ _RENDERERS: dict[str, Callable[[dict], str]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a rejected value named by :func:`shown`, not repeated
+    in full; its subcommand parsers are of this class too."""
+
+    def _get_value(self, action, arg_string):
+        try:
+            return super()._get_value(action, arg_string)
+        except argparse.ArgumentError:
+            raise argparse.ArgumentError(
+                action, f"invalid {action.type.__name__} value: {shown(arg_string)}"
+            ) from None
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {shown(value)} (choose from {choices})"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinchern",
         description="Exact characteristic-class computations for spin representations.",
     )
@@ -462,10 +481,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse takes a dash-led expression such as -3*lambda1 for an option
         if extra and not extra[0].startswith("--"):
             parser.error("an expression that starts with '-' must follow '--', as in "
-                         f"restrict --n {args.n} -- {extra[0]!r}")
+                         f"restrict --n {args.n} -- {shown(extra[0])}")
         parser.error("the following arguments are required: expression")
     if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        parser.error(f"unrecognized arguments: {' '.join(map(shown, extra))}")
     try:
         if args.command == "prop2":
             m_lo, m_hi = _parse_range(args.m, "m")

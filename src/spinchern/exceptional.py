@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .char_classes import complexification_check, total_chern, total_sw_real
-from .laurent import TruncatedPoly
+from .char_classes import complexification_check, total_chern, total_sw_real, u_text
 from .spin_reps import (
     DELTA,
     DELTA_MINUS,
@@ -173,14 +172,6 @@ class VerificationReport(NamedTuple):
         return out
 
 
-def _u_power_str(k: int) -> str:
-    return "1" if k == 0 else ("u" if k == 1 else f"u^{k}")
-
-
-def _is_one_plus(series: TruncatedPoly, k: int) -> bool:
-    return series == TruncatedPoly(series.ring, series.cutoff, {0: 1, k: 1})
-
-
 def dimension_audit(case: ExceptionalCase) -> dict:
     """Compare computed virtual dimensions with the ambient target dimension.
 
@@ -226,9 +217,9 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
     chern_f2 = total_chern(weights, cutoff, "F2")
     series = chern_f2 if case.class_kind == CHERN_KIND else total_sw_real(weights, cutoff)
     top_coeff = series.terms.get(top_u, 0)
-    shape_ok = _is_one_plus(series, top_u)
+    shape_ok = series.terms == {0: 1, top_u: 1}
     membership = indecomposable_in_image(top_u, h) if top_coeff else NOT_IN_IMAGE
-    notes = [] if shape_ok else [f"total class is {series}, expected 1 + {_u_power_str(top_u)}"]
+    notes = [] if shape_ok else [f"total class is {series}, expected 1 + {u_text(top_u)}"]
     verdicts: dict[str, object] = {
         "top_class_present": bool(top_coeff),
         "total_class_shape": shape_ok,
@@ -241,13 +232,13 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
     sw_ok = True
     if case.class_kind == SW_KIND:
         chern_top_exp = case.top_degree  # c_{top_degree} sits at u^{top_degree}
-        chern_shape_ok = _is_one_plus(chern_f2, chern_top_exp)
+        chern_shape_ok = chern_f2.terms == {0: 1, chern_top_exp: 1}
         chern_membership = indecomposable_in_image(chern_top_exp, h)
         square_ok = complexification_check(weights, cutoff)
         sw_ok = square_ok and chern_shape_ok and chern_membership == DECOMPOSABLE
         complexified = {
             "total_class_str": str(chern_f2),
-            "top_class": _u_power_str(chern_top_exp),
+            "top_class": u_text(chern_top_exp),
             "shape": chern_shape_ok,
             "indecomposability": chern_membership,
         }
@@ -270,8 +261,8 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
         target=case.target,
         total_class=series.terms,
         total_class_str=str(series),
-        top_class=_u_power_str(top_u) if top_coeff else "0",
-        expected=_u_power_str(top_u),
+        top_class=u_text(top_u) if top_coeff else "0",
+        expected=u_text(top_u),
         verdicts=verdicts,
         complexified=complexified,
         dimensions={

@@ -12,7 +12,8 @@ lambda_i becomes alpha_i + beta_i (z^2 + z^-2) and each (half-)spinor equal
 numbers of z and z^-1.  A circle character is held as its signed weight map
 ``{k: a_k}``, the multiplicity a_k of z^k, negative where the character is
 virtual; :func:`format_character` prints it.  The T^m characters are never
-expanded.
+expanded.  :func:`signed_sum` prints expressions, circle characters and the
+total classes of :mod:`spinchern.char_classes` alike.
 
 Two conventions are supported for lambda_i when n is odd.  Under
 ``paper-literal`` the character is exactly the elementary symmetric function
@@ -27,9 +28,7 @@ from __future__ import annotations
 
 import re
 from math import comb
-from typing import NamedTuple
-
-from .laurent import signed_sum
+from typing import Iterable, NamedTuple
 
 
 PAPER_LITERAL = "paper-literal"
@@ -101,6 +100,31 @@ def triv(k: int) -> RepSymbol:
 DELTA_PLUS = RepSymbol("delta+")
 DELTA_MINUS = RepSymbol("delta-")
 DELTA = RepSymbol("delta")
+
+
+def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Print (coefficient, variable text) pairs as a signed sum.
+
+    Zero coefficients are skipped; the first term keeps its sign and later
+    ones join with ``+`` or ``-``; a unit coefficient is dropped before a
+    variable, and an empty variable text prints the bare magnitude.  An
+    empty sum is ``"0"``.
+
+    >>> signed_sum([(-1, "u"), (2, "u^2"), (-3, "")])
+    '-u + 2*u^2 - 3'
+    """
+    parts: list[str] = []
+    for c, var in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = (var if mag == 1 else f"{mag}*{var}") if var else str(mag)
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
+
 
 _SORT_ORDER = {"triv": 0, "lambda": 1, "delta+": 2, "delta-": 3, "delta": 4}
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from spinchern.laurent import TruncatedPoly
+from spinchern.char_classes import TruncatedPoly
 from spinchern.spin_reps import CONVENTIONS, PAPER_LITERAL, VECTOR_REP, RepSymbol, SpinGroup
 from spinchern.steenrod import GradedPolyF2, sq_on_generator
 

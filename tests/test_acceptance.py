@@ -10,6 +10,7 @@ import time
 from math import comb
 
 from spinchern.char_classes import (
+    TruncatedPoly,
     mod2,
     total_chern,
     total_sw_real,
@@ -31,7 +32,6 @@ from spinchern.exceptional import (
     dimension_audit,
     verify_case,
 )
-from spinchern.laurent import TruncatedPoly
 from spinchern.spin_reps import (
     DELTA,
     DELTA_MINUS,

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from spinchern.char_classes import (
+    TruncatedPoly,
     VirtualCharacterError,
     _f2_square,
     complexification_check,
@@ -18,7 +19,6 @@ from spinchern.char_classes import (
     vanishing_on_bso_check,
 )
 from oracles import series_inverse, series_pow, series_product
-from spinchern.laurent import TruncatedPoly
 from spinchern.spin_reps import (
     DELTA,
     DELTA_MINUS,

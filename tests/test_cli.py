@@ -14,6 +14,7 @@ import pkgutil
 import subprocess
 import sys
 import time
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -22,9 +23,8 @@ from hypothesis import strategies as st
 
 import oracles
 import spinchern
-from spinchern.char_classes import total_chern
+from spinchern.char_classes import TruncatedPoly, total_chern
 from spinchern.cli import _chern_bounds, main
-from spinchern.laurent import TruncatedPoly
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -288,13 +288,31 @@ def _package_modules() -> list:
     ]
 
 
-def test_docstring_examples_hold():
-    attempted = 0
-    for module in _package_modules() + [oracles]:
-        result = doctest.testmod(module)
-        assert result.failed == 0, module.__name__
-        attempted += result.attempted
-    assert attempted >= 5
+# docstring examples per module: signed_sum, shown, parse_expr and
+# format_character in spin_reps; a module not named here has none
+DOCSTRING_EXAMPLES = {"spinchern.spin_reps": 4, "oracles": 2}
+
+
+@pytest.mark.parametrize(
+    "module", _package_modules() + [oracles], ids=lambda module: module.__name__
+)
+def test_docstring_examples_hold(module):
+    result = doctest.testmod(module)
+    assert result.failed == 0
+    assert result.attempted == DOCSTRING_EXAMPLES.get(module.__name__, 0)
+
+
+def test_public_namespace_has_no_laurent_module():
+    # TruncatedPoly lives beside total_chern, and the package root exports it
+    for name in spinchern.__all__:
+        assert hasattr(spinchern, name), name
+    assert spinchern.TruncatedPoly is spinchern.char_classes.TruncatedPoly
+    assert find_spec("spinchern.laurent") is None
+    for module in _package_modules():
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not any(name.split(".")[-1] == "laurent" for name in names), module
 
 
 def test_readme_example_prints_its_comments(capsys):
@@ -358,7 +376,24 @@ def test_options_that_change_no_result_are_not_offered(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(map(repr, argv[1:]))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("restrict", "--n", "twelve", "lambda1"), "argument --n: invalid int value: 'twelve'"),
+        (("restrict", "--n", "12", "--format", "xml", "lambda1"),
+         "argument --format: invalid choice: 'xml' (choose from 'json', 'md', 'plain')"),
+        (("theorem1", "--group", "G2"),
+         "argument --group: invalid choice: 'G2' (choose from 'all', 'F4', 'E6', 'E7', 'E8')"),
+    ],
+)
+def test_argparse_errors_quote_a_short_value(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
 
 
 def test_unknown_subcommand_exits_2():
@@ -547,12 +582,16 @@ def test_spawned_process_exit_codes():
     # the exit-code contract holds for the module entry point too; the child
     # imports the same package as this process, installed or not
     env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
-    ok = subprocess.run(
-        [sys.executable, "-m", "spinchern.cli", "theorem1", "--group", "F4"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+
+    def spawn(argv: tuple[str, ...]) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "spinchern.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    ok = spawn(("theorem1", "--group", "F4"))
     assert ok.returncode == 0, ok.stderr
     assert "indecomposable" in ok.stdout
 
@@ -573,15 +612,27 @@ def test_spawned_process_exit_codes():
         ("restrict", "--n", "12", "lambda" + most),
         ("restrict", "--n", "12", "x" * 5000),
     ):
-        usage = subprocess.run(
-            [sys.executable, "-m", "spinchern.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        usage = spawn(argv)
         assert usage.returncode == 2, usage.stderr
         assert usage.stderr.count("error:") == 1 and "Traceback" not in usage.stderr
         assert len(usage.stderr) < 200 and "set_int_max_str_digits" not in usage.stderr
+
+    # argparse's own errors name a long value by its length as well; they
+    # follow the fixed usage text, which is up to four lines
+    xs = "x" * 5000
+    for argv in (
+        ("restrict", "--n", xs, "lambda1"),
+        ("restrict", "--n", "12", "--format", xs, "lambda1"),
+        ("restrict", "--n", "12", "lambda1", xs),
+        ("restrict", "--n", "12", "--cutoff", xs, "lambda1"),
+        ("theorem1", "--group", xs),
+        (xs,),
+    ):
+        usage = spawn(argv)
+        assert usage.returncode == 2, usage.stderr[:400]
+        errors = [line for line in usage.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "a 5000-character string" in errors[0], usage.stderr[:400]
+        assert len(usage.stderr) < 400 and "Traceback" not in usage.stderr
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

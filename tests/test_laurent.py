@@ -1,4 +1,5 @@
-"""Tests for truncated series arithmetic and for the Laurent polynomial oracle."""
+"""Tests for the test oracles' Laurent polynomials and truncated-series
+arithmetic, and for the ``TruncatedPoly`` value of ``spinchern.char_classes``."""
 
 from __future__ import annotations
 
@@ -16,8 +17,7 @@ from oracles import (
     series_product,
     truncate,
 )
-from spinchern.char_classes import mod2
-from spinchern.laurent import TruncatedPoly
+from spinchern.char_classes import TruncatedPoly, mod2, u_text
 
 
 def z(power: int = 1) -> MultiLaurent:
@@ -350,6 +350,8 @@ def test_str_of_series():
     assert str(TruncatedPoly("F2", 16, {16: 1, 0: 1})) == "1 + u^16"
     assert str(TruncatedPoly("Z", 4, {0: 1, 1: -4})) == "1 - 4*u"
     assert str(TruncatedPoly("Z", 4, {})) == "0"
+    assert str(TruncatedPoly("Z", 4, {0: 3, 1: 1, 2: -2})) == "3 + u - 2*u^2"
+    assert [u_text(k) for k in (0, 1, 2)] == ["1", "u", "u^2"]
 
 
 @st.composite
