@@ -162,13 +162,13 @@ def run_prop2(m_lo: int, m_hi: int) -> dict:
     for m in range(m_lo, m_hi + 1):
         for n in (2 * m, 2 * m + 1):
             g = SpinGroup(n)
-            spin_dim = 2 ** (m - 1) if g.is_even else 2**m
-            cut = 2 * spin_dim
             symbols: list[RepSymbol] = [lam(i) for i in range(1, g.max_lambda_index() + 1)]
             symbols += [DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA]
-            for sym in symbols:
-                series = total_chern(circle_weights(g, sym, PAPER_LITERAL), cut, "F2")
-                terms = {0: 1} if sym.kind == "lambda" else {0: 1, spin_dim: 1}
+            weights = [circle_weights(g, sym, PAPER_LITERAL) for sym in symbols]
+            cut = 2 * sum(weights[-1].values())
+            for sym, w in zip(symbols, weights):
+                series = total_chern(w, cut, "F2")
+                terms = {0: 1} if sym.kind == "lambda" else {0: 1, sum(w.values()): 1}
                 expected = TruncatedPoly("F2", cut, terms)
                 checks.append({"m": m, "n": n, "symbol": str(sym), "computed": str(series),
                                "expected": str(expected), "pass": series == expected})

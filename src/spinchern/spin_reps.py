@@ -13,7 +13,8 @@ numbers of z and z^-1.  A circle character is held as its signed weight map
 ``{k: a_k}``, the multiplicity a_k of z^k, negative where the character is
 virtual; :func:`format_character` prints it.  The T^m characters are never
 expanded.  :func:`signed_sum` prints expressions, circle characters and the
-total classes of :mod:`spinchern.char_classes` alike.
+total classes of :mod:`spinchern.char_classes` alike; :func:`quillen_h`
+reads h, log2 of the real spinor dimension, off the spinor's character.
 
 Two conventions are supported for lambda_i when n is odd.  Under
 ``paper-literal`` the character is exactly the elementary symmetric function
@@ -317,13 +318,9 @@ def spinor_type(n: int) -> str:
     return TYPE_QUATERNIONIC
 
 
-# h values by residue n = 8k + l, l = 0..7: the Radon-Hurwitz rule, i.e.
-# log2 of the real dimension of the (half-)spinor representation.
-_RADON_HURWITZ_OFFSETS = (-1, 0, 1, 2, 2, 3, 3, 3)
-
-# An alternative tabulation of h sometimes quoted alongside the type table.
-# Where it differs from the rule above (residues 1, 3, 5, 7 mod 8) it is
-# inconsistent with deg z = 2^h, the real spinor dimension; kept only so
+# A tabulation of h by n mod 8 (h = 4 floor(n/8) + offset), sometimes quoted
+# beside the type table.  At residues 1, 3, 5, 7 it disagrees with the h that
+# quillen_h reads off the spinor, the log2 of its real dimension; kept only so
 # reports can flag the discrepancy.
 _TABLE_VARIANT_OFFSETS = (-1, -1, 1, 1, 2, 2, 3, 2)
 
@@ -345,18 +342,18 @@ class SpinorTypeInfo(NamedTuple):
 def quillen_h(n: int) -> SpinorTypeInfo:
     """h = log2 of the real dimension of the spinor representation of Spin(n).
 
-    The polynomial generator z of the mod-2 cohomology of BSpin(n) has
-    degree 2^h.  For n = 9, 10, 12, 16 this gives deg z = 16, 32, 64, 128.
+    The spinor is Delta for odd n and Delta+ for even n; its real dimension
+    is its circle character at z = 1, doubled for types C and H.  The
+    polynomial generator z of the mod-2 cohomology of BSpin(n) has degree
+    2^h.  For n = 9, 10, 12, 16 this gives deg z = 16, 32, 64, 128.
     """
-    if n < 6:
-        raise ValueError(f"quillen_h requires n >= 6, got {n}")
-    k, l = divmod(n, 8)
-    h = 4 * k + _RADON_HURWITZ_OFFSETS[l]
-    table_h = 4 * k + _TABLE_VARIANT_OFFSETS[l]
-    note = None
-    if table_h != h:
-        note = (
-            f"tabulated h = {table_h} for n = {n} is inconsistent with the real "
-            f"spinor dimension 2^{h}; using h = {h}"
-        )
-    return SpinorTypeInfo(n=n, type=spinor_type(n), h=h, table_h=table_h, note=note)
+    g = SpinGroup(n)
+    kind = spinor_type(n)
+    real_dim = dimension(g, DELTA_PLUS if g.is_even else DELTA) * (1 if kind == TYPE_REAL else 2)
+    h = real_dim.bit_length() - 1
+    table_h = 4 * (n // 8) + _TABLE_VARIANT_OFFSETS[n % 8]
+    note = None if table_h == h else (
+        f"tabulated h = {table_h} for n = {n} is inconsistent with the real "
+        f"spinor dimension 2^{h}; using h = {h}"
+    )
+    return SpinorTypeInfo(n=n, type=kind, h=h, table_h=table_h, note=note)

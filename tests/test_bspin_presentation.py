@@ -8,7 +8,8 @@ ideal they generate by linear algebra over F2, one degree at a time.  A
 graded piece of the ideal is spanned by the products mu * theta_r with mu a
 monomial; each product is a Python-int bit row over the monomial basis of
 its degree, and rows are reduced by XOR against pivots keyed by their
-leading bit.
+leading bit.  Beyond that cutoff, the elimination tests check the first step
+of an all-degree proof: each theta_r of degree d <= n is linear in w_d.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import pytest
 
 from oracles import poly_degree, poly_sum
 from spinchern.spin_reps import quillen_h
-from spinchern.steenrod import GradedPolyF2, Monomial, j_ideal_generators, sq_bso
+from spinchern.steenrod import (
+    GradedPolyF2,
+    Monomial,
+    j_degrees_expected,
+    j_ideal_generators,
+    sq_bso,
+)
 
 
 @lru_cache(maxsize=None)
@@ -100,6 +107,36 @@ def test_next_square_lies_in_the_ideal(n):
     for term in nxt.monomials():
         row ^= 1 << index[term]
     assert reduce(pivots, row) == 0
+
+
+@pytest.mark.parametrize(
+    "n,top", [(n, n) for n in range(6, 41)] + [(n, 65) for n in (64, 65, 127, 128, 512, 1024)]
+)
+def test_theta_is_linear_in_the_generator_of_its_degree(n, top):
+    # theta_r is homogeneous of degree d = 2^{r-1} + 1, so when w_d is one of
+    # its terms, theta_r = w_d + (a polynomial in the w_i with i < d), and
+    # the quotient by theta_r eliminates w_d (the first step of an
+    # all-degree proof of the presentation).  Homogeneous polynomials of one
+    # degree share their packed layout, so w_d's packed term is compared
+    # directly, without decoding theta_r's thousands of monomials.
+    h = quillen_h(n).h
+    for d, theta in zip(j_degrees_expected(h), j_ideal_generators(n, top)):
+        if d <= n:
+            assert theta.is_homogeneous(), (n, d)
+            assert GradedPolyF2.generator(d, n).terms <= theta.terms, (n, d)
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_elimination_leaves_quillens_polynomial_ring(n):
+    # for n = 6..9 every theta_r has degree d_r <= n and is linear in w_{d_r}
+    # (above), and theta_r involves only w_i of lower degree besides it, so
+    # eliminating w_2, w_3, w_5 (and w_9) in turn leaves, in every degree,
+    # H*(BSpin(n); F2) = F2[w_i : 4 <= i <= n, i not in {5, 9}] tensor F2[z]
+    thetas = j_ideal_generators(n)
+    degrees = [poly_degree(theta) for theta in thetas]
+    assert len(thetas) == quillen_h(n).h and max(degrees) <= n
+    kept = sorted(set(range(2, n + 1)) - set(degrees))
+    assert kept == [i for i in range(4, n + 1) if i not in (5, 9)]
 
 
 def test_hilbert_oracle_catches_a_flipped_monomial():

@@ -503,6 +503,9 @@ REPORT_DIGESTS = [
      "314c1d917c0611fbde41cb75ff2f64031dc99d0aeccf48137848fe3e226895b4"),
     (("restrict", "--n", "17", "--cutoff", "512", "--format", "json", "3*delta + 3*lambda6"),
      "1b4dde578ca3ed46177db3a71c4cdda0a62167353c04466875260ca27aaafa5f"),
+    # h read off the spinor at the top of the quillen range, n = 897..1024
+    (("quillen", "--n", "897..1024", "--format", "md"),
+     "b130df8c2f4033bbe8b71ea47eaed119dfb87eeabc0a011a9f032c3e40bfdb54"),
 ]
 
 

@@ -322,6 +322,17 @@ def test_quillen_h_matches_real_spinor_dimension():
         assert quillen_h(n).deg_z == real_dim, n
 
 
+# the classical Radon-Hurwitz offsets: h = 4k + offset for n = 8k + l, l = 0..7
+RADON_HURWITZ_OFFSETS = (-1, 0, 1, 2, 2, 3, 3, 3)
+
+
+def test_quillen_h_matches_radon_hurwitz_offsets():
+    # quillen_h reads h off the spinor's circle character; over the whole
+    # range the quillen subcommand accepts it must agree with the table
+    for n in range(6, 1025):
+        assert quillen_h(n).h == 4 * (n // 8) + RADON_HURWITZ_OFFSETS[n % 8], n
+
+
 def test_quillen_h_discrepancy_notes():
     for n in range(6, 21):
         info = quillen_h(n)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -108,10 +109,15 @@ def _express_in_w(p: MultiLaurent, n: int) -> GradedPolyF2:
     return GradedPolyF2.from_monomials(n, collected)
 
 
+@lru_cache(maxsize=None)
+def _squared_roots(mon: tuple[int, ...], n: int) -> MultiLaurent:
+    """The total square of a w-monomial in the roots; every Sq^i is one
+    homogeneous part of it, so it is expanded once per (monomial, n)."""
+    return _total_square(_roots_of_monomial(mon, n))
+
+
 def oracle_sq_monomial(i: int, mon: tuple[int, ...], n: int) -> GradedPolyF2:
-    roots = _roots_of_monomial(mon, n)
-    squared = _total_square(roots)
-    part = _homogeneous_part(squared, sum(mon) + i)
+    part = _homogeneous_part(_squared_roots(mon, n), sum(mon) + i)
     return _express_in_w(part, n)
 
 
