@@ -57,7 +57,6 @@ from .steenrod import (
     j_degrees_expected,
     j_ideal_generators,
     sq_bso,
-    sq_on_generator,
 )
 
 __all__ = [
@@ -90,7 +89,6 @@ __all__ = [
     "vanishing_on_bso_check",
     "GradedPolyF2",
     "binom_mod2",
-    "sq_on_generator",
     "sq_bso",
     "j_degrees_expected",
     "j_ideal_generators",

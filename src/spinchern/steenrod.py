@@ -23,7 +23,8 @@ of monomials is an integer sum and a square is a doubling.  The degree
 field makes homogeneity a shift, a ``min`` and a ``max``, and inside one
 homogeneous polynomial descending int order is the order of the sorted
 index tuples (w_2 * w_3^2 is (2, 3, 3)), which is the print order.
-``GradedPolyF2.monomials`` decodes the ints into those tuples.
+``GradedPolyF2.monomials`` decodes the ints into those tuples, walking only
+the nonzero fields.
 
 Within one application of Sq^i the squares of generator powers are
 memoised, Sq^s(w_j^e) being the square of Sq^{s/2}(w_j^{e/2}) for even e
@@ -31,14 +32,14 @@ and one Wu factor times the even power for odd e, and the Cartan formula
 runs over the distinct generators of each monomial, not over its factors.
 
 The ideal (w_1) is stable under squares, so :func:`sq_bso` computes the
-quotient action by skipping every Wu piece with a w_1 factor; only
-:func:`sq_on_generator` keeps w_1.  The iterated squares of w_2 generate
-the ideal that cuts the mod-2 cohomology of BSpin(n) out of that of BSO(n).
+quotient action: it builds each Wu piece packed in the square's own layout
+and skips the pieces with a w_1 factor where they are made.  Only the test
+oracles square with w_1.  The iterated squares of w_2 generate the ideal
+that cuts the mod-2 cohomology of BSpin(n) out of that of BSO(n).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .spin_reps import quillen_h
@@ -65,15 +66,18 @@ def _fields(n: int, width: int) -> int:
     return min(n, (1 << width) - 1)
 
 
-def _spread(m: int, n: int, old: int, new: int) -> int:
-    """A packed monomial moved from the ``old``-bit layout to the ``new``-bit one."""
-    old_top, new_top = _fields(n, old), _fields(n, new)
-    mask = (1 << old) - 1
-    degree = m >> old_top * old
-    out = degree << new_top * new
-    for j in range(1, min(old_top, new_top, degree) + 1):  # higher w_j have no field or are 0
-        out |= ((m >> (old_top - j) * old) & mask) << (new_top - j) * new
-    return out
+def _decode(m: int, n: int, width: int) -> Monomial:
+    """The packed monomial ``m`` of the ``width``-bit layout as a sorted index
+    tuple, read from its nonzero fields only, highest set bit (lowest j) first."""
+    top = _fields(n, width)
+    m &= (1 << top * width) - 1  # drop the degree field
+    out: list[int] = []
+    while m:
+        field = (m.bit_length() - 1) // width
+        low = field * width
+        out += [top - field] * (m >> low)
+        m &= (1 << low) - 1
+    return tuple(out)
 
 
 class _ChunkText(dict):
@@ -123,16 +127,6 @@ class GradedPolyF2(NamedTuple):
         return _fields(self.n, self.width) * self.width
 
     @classmethod
-    def packed(cls, n: int, terms: Iterable[int], width: int) -> GradedPolyF2:
-        """The polynomial on ``width``-bit packed monomials, re-spread to the
-        canonical width if its largest degree needs fewer bits."""
-        terms = frozenset(terms)
-        canonical = (max(terms) >> _fields(n, width) * width).bit_length() if terms else 0
-        if canonical != width:
-            terms = frozenset(_spread(m, n, width, canonical) for m in terms)
-        return cls(n, terms, canonical)
-
-    @classmethod
     def generator(cls, j: int, n: int) -> GradedPolyF2:
         if not 1 <= j <= n:
             raise ValueError(f"generator index {j} out of range 1..{n}")
@@ -140,29 +134,27 @@ class GradedPolyF2(NamedTuple):
 
     @classmethod
     def from_monomials(cls, n: int, monomials: Iterable[Monomial]) -> GradedPolyF2:
-        """The mod-2 sum of monomials given as generator-index tuples."""
-        monomials = list(monomials)
+        """The mod-2 sum of monomials given as generator-index tuples in any
+        order, packed at the width of the largest degree that survives."""
+        survivors: set[Monomial] = set()
         for mon in monomials:
             if any(not 1 <= idx <= n for idx in mon):
                 raise ValueError(f"monomial {mon} has an index outside 1..{n}")
-        width = max(map(sum, monomials), default=0).bit_length()
+            survivors ^= {tuple(sorted(mon))}
+        width = max(map(sum, survivors), default=0).bit_length()
         top = _fields(n, width)
-        terms: set[int] = set()
-        for mon in monomials:
+        terms = []
+        for mon in survivors:
             m = sum(mon) << top * width
             for idx in mon:
                 m += 1 << (top - idx) * width
-            terms ^= {m}
-        return cls.packed(n, terms, width)
+            terms.append(m)
+        return cls(n, frozenset(terms), width)
 
     def monomials(self) -> frozenset[Monomial]:
         """The terms as sorted generator-index tuples: w_2 * w_3^2 is (2, 3, 3)."""
-        return frozenset(map(self._decode, self.terms))
-
-    def _decode(self, m: int) -> Monomial:
-        width = self.width
-        top, mask = _fields(self.n, width), (1 << width) - 1
-        return tuple(j for j in range(1, top + 1) for _ in range((m >> (top - j) * width) & mask))
+        n, width = self.n, self.width
+        return frozenset(_decode(m, n, width) for m in self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -179,7 +171,7 @@ class GradedPolyF2(NamedTuple):
         if self.is_homogeneous():
             order = sorted(self.terms, reverse=True)  # ascending index tuples
         else:
-            order = sorted(self.terms, key=self._decode)
+            order = sorted(self.terms, key=lambda m: _decode(m, self.n, self.width))
         top = _fields(self.n, self.width)
         used = min(top, max(self.terms) >> self._shift)  # no w_j above the top degree
         columns = [
@@ -187,24 +179,6 @@ class GradedPolyF2(NamedTuple):
             for j in range(1, used + 1, RENDER_CHUNK_FIELDS)
         ]
         return " + ".join("".join(chunks)[1:] or "1" for chunks in zip(*columns))
-
-
-@lru_cache(maxsize=None)
-def sq_on_generator(i: int, j: int, n: int) -> GradedPolyF2:
-    """Sq^i(w_j) in F2[w_1 ... w_n] by the Wu formula."""
-    if i < 0:
-        raise ValueError("Sq index must be nonnegative")
-    if not 1 <= j <= n:
-        raise ValueError(f"generator index {j} out of range 1..{n}")
-    monomials = []
-    for t in range(i + 1):
-        if not binom_mod2(j - i + t - 1, t):
-            continue
-        lo, hi = i - t, j + t
-        if hi > n or lo > n:
-            continue
-        monomials.append(tuple(idx for idx in (lo, hi) if idx))  # w_0 = 1
-    return GradedPolyF2.from_monomials(n, monomials)
 
 
 def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
@@ -215,6 +189,7 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
 
     The output fields are as wide as the largest output degree needs, so no
     field overflows: a product is an integer sum and a square is ``2 * m``.
+    Each Wu piece Sq^s(w_j) is packed straight into that layout.
     """
     if i < 0:
         raise ValueError("Sq index must be nonnegative")
@@ -223,7 +198,7 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
     n, in_width, in_shift = p.n, p.width, p._shift
     in_top, in_mask = _fields(n, in_width), (1 << in_width) - 1
     width = ((max(p.terms) >> in_shift) + i).bit_length()
-    w1_field = ((1 << width) - 1) << (_fields(n, width) - 1) * width
+    top = _fields(n, width)
     memo: dict[tuple[int, int, int], set[int]] = {}
 
     def power(s: int, j: int, e: int) -> set[int]:
@@ -234,12 +209,13 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
         out: set[int] = set()
         if s > j * e:
             pass  # instability: Sq^s x = 0 above the degree of x
-        elif e == 1:
-            wu = sq_on_generator(s, j, n)
-            for g in wu.terms:
-                g = _spread(g, n, wu.width, width)
-                if not g & w1_field:  # a w_1 factor can never cancel later
-                    out.add(g)
+        elif e == 1:  # the Wu formula; its pieces are distinct monomials
+            for t in range(s + 1):
+                lo, hi = s - t, j + t
+                if hi > n or lo == 1 or not binom_mod2(j - s + t - 1, t):
+                    continue  # w_k = 0 for k > n, and w_1 = 0
+                g = (j + s) << top * width | 1 << (top - hi) * width
+                out.add(g + (1 << (top - lo) * width) if lo else g)
         elif e % 2 == 0:
             if s % 2 == 0:  # Sq(x^2) = (Sq x)^2 mod 2
                 out = {2 * m for m in power(s // 2, j, e // 2)}
@@ -272,7 +248,10 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
                             acc.symmetric_difference_update({g + m for m in partials})
             states = nxt
         out.symmetric_difference_update(states.get(i, ()))
-    return GradedPolyF2.packed(n, out, width)
+    if not out or (max(out) >> top * width).bit_length() < width:
+        # the top degree cancelled: re-pack at the narrower canonical width
+        return GradedPolyF2.from_monomials(n, (_decode(m, n, width) for m in out))
+    return GradedPolyF2(n, frozenset(out), width)
 
 
 def j_degrees_expected(h: int) -> list[int]:

@@ -10,22 +10,25 @@ every exterior power at once.  The
 ``series_*`` functions and :func:`truncate` are the truncated-series
 operations the library does not offer: products, powers, inversion and
 truncation of a ``TruncatedPoly``, read from and built from its term map.
-:func:`sq_by_factors` applies a Steenrod square one factor at a time on
-sorted tuples, skipping the Wu pieces with a w_1 factor: the reference for
-``spinchern.steenrod.sq_bso``.  :func:`poly_sum`, :func:`poly_product` and
-:func:`poly_degree` add, multiply and grade ``GradedPolyF2`` values, which
-the library only squares and prints; they go through index tuples alone
-(``from_monomials`` XORs repeated monomials, and packing adds up repeated
-indices).
+:func:`sq_on_generator` is the Wu formula in the full ring
+F2[w_1, ..., w_n], w_1 kept, and :func:`sq_by_factors` applies a Steenrod
+square with it one factor at a time on sorted tuples, skipping the Wu
+pieces with a w_1 factor: the reference for ``spinchern.steenrod.sq_bso``.
+:func:`poly_sum`, :func:`poly_product` and :func:`poly_degree` add,
+multiply and grade ``GradedPolyF2`` values, which the library only squares
+and prints; they go through index tuples alone (``from_monomials`` XORs
+repeated monomials, and packing adds up repeated indices).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Mapping
 
 from spinchern.char_classes import TruncatedPoly
 from spinchern.spin_reps import CONVENTIONS, PAPER_LITERAL, VECTOR_REP, RepSymbol, SpinGroup
-from spinchern.steenrod import GradedPolyF2, sq_on_generator
+from spinchern.steenrod import GradedPolyF2
 
 ExponentVector = tuple[int, ...]
 
@@ -373,6 +376,27 @@ def truncate(p: TruncatedPoly, cutoff: int) -> TruncatedPoly:
 
 
 # ---- Steenrod squares ---------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def sq_on_generator(i: int, j: int, n: int) -> GradedPolyF2:
+    """Sq^i(w_j) in F2[w_1 ... w_n] by the Wu formula, w_1 kept; its
+    binomials come from ``math.comb``, binom(-a, t) = (-1)^t binom(a + t - 1, t)
+    for a top argument below 0."""
+    if i < 0:
+        raise ValueError("Sq index must be nonnegative")
+    if not 1 <= j <= n:
+        raise ValueError(f"generator index {j} out of range 1..{n}")
+    monomials = []
+    for t in range(i + 1):
+        a = j - i + t - 1
+        if not (comb(a, t) if a >= 0 else comb(t - a - 1, t)) % 2:
+            continue
+        lo, hi = i - t, j + t
+        if hi > n or lo > n:
+            continue
+        monomials.append(tuple(idx for idx in (lo, hi) if idx))  # w_0 = 1
+    return GradedPolyF2.from_monomials(n, monomials)
 
 
 def sq_by_factors(i: int, mon: tuple[int, ...], n: int) -> GradedPolyF2:

@@ -10,9 +10,9 @@ shares code with the Wu/Cartan implementation under test.  The oracle
 squares in the full ring F2[w_1, ..., w_n]; ``sq_bso`` squares in
 H*(BSO(n)), so its results are compared with the oracle's after the w_1
 monomials are removed.  The roots oracle is slow for high powers, so
-``sq_bso`` is also checked against ``oracles.sq_by_factors``, which shares
-only the Wu formula with it and applies the Cartan formula one factor at a
-time.
+``sq_bso`` is also checked against ``oracles.sq_by_factors``, which takes
+its Wu pieces from the full-ring ``oracles.sq_on_generator`` and applies the
+Cartan formula one factor at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from oracles import (
     poly_product,
     poly_sum,
     sq_by_factors,
+    sq_on_generator,
 )
 from spinchern.spin_reps import quillen_h
 from spinchern.steenrod import (
@@ -40,7 +41,6 @@ from spinchern.steenrod import (
     j_degrees_expected,
     j_ideal_generators,
     sq_bso,
-    sq_on_generator,
 )
 
 
@@ -155,6 +155,16 @@ def test_sq_on_generator_matches_roots_oracle():
 def test_sq_generator_index_out_of_range():
     with pytest.raises(ValueError):
         sq_on_generator(1, 7, 6)
+
+
+@pytest.mark.parametrize("n", [6, 12, 40, 1024])
+def test_sq_bso_wu_pieces_match_full_ring_wu_formula(n):
+    # sq_bso packs each Wu piece into the square's own layout, whose fields
+    # stop at w_J, J = 2^width - 1, below n for the larger n here
+    for j in range(2, min(n, 16) + 1):
+        for i in range(j + 2):
+            got = sq_bso(i, GradedPolyF2.generator(j, n))
+            assert got == without_w1(sq_on_generator(i, j, n)), (i, j)
 
 
 # ---- Cartan formula -----------------------------------------------------------
@@ -305,6 +315,21 @@ def test_width_shrinks_back_when_the_top_degree_cancels():
     assert (got.width, got.terms) == (want.width, want.terms)
     with pytest.raises(AttributeError):
         got.width = 5
+
+
+@pytest.mark.parametrize("n", [17, 1024])
+def test_monomials_round_trip_through_from_monomials(n):
+    # at n = 1024 the degree-65 layout has 7-bit fields for w_1 .. w_127 only
+    for theta in j_ideal_generators(n, 65):
+        assert GradedPolyF2.from_monomials(n, theta.monomials()) == theta, poly_degree(theta)
+
+
+def test_from_monomials_is_canonical_after_cancellation():
+    # w2^8 listed twice cancels, so the width comes from w2*w3 (degree 5)
+    # alone, in any order of the repeated monomials
+    p = GradedPolyF2.from_monomials(6, [(2,) * 8, (3, 2), (2,) * 8])
+    assert p == w(2, 3, n=6) and p.width == 3
+    assert GradedPolyF2.from_monomials(6, [(2,) * 8, (2,) * 8]) == GradedPolyF2.from_monomials(6, [])
 
 
 def _partitions(d: int, lo: int, hi: int) -> list[tuple[int, ...]]:
