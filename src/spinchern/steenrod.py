@@ -12,19 +12,16 @@ binom(-a, t) = binom(a + t - 1, t) mod 2, which is what makes the excess
 terms cancel (Sq^i w_j = 0 for i > j).  Everything mod 2 goes through
 Lucas' theorem, a bitwise test.
 
-A monomial is one packed Python int (Monagan & Pearce's packed exponent
-vectors).  The width is the bit length of the polynomial's largest total
-degree, so no field overflows and equal polynomials have equal ints.  The
-exponent of w_j sits in a ``width``-bit field at bit (J - j) * width and
-the total degree in one more field above them, at bit J * width, where
-J = min(n, 2^width - 1): no monomial of degree below 2^width has a factor
-w_j with j > J (so J = n unless n is large against the degree).  A product
-of monomials is an integer sum and a square is a doubling.  The degree
-field makes homogeneity a shift, a ``min`` and a ``max``, and inside one
-homogeneous polynomial descending int order is the order of the sorted
-index tuples (w_2 * w_3^2 is (2, 3, 3)), which is the print order.
-``GradedPolyF2.monomials`` decodes the ints into those tuples, walking only
-the nonzero fields.
+A polynomial is homogeneous: its degree d is stored once, and each
+monomial is one packed Python int (Monagan & Pearce's packed exponent
+vectors) in the layout that n and d fix.  The width is the bit length of d,
+so no field overflows and equal polynomials have equal ints, and the
+exponent of w_j sits in a ``width``-bit field at bit (J - j) * width, where
+J = min(n, d): no monomial of degree d has a factor w_j with j > d.  A
+product of monomials is an integer sum and a square is a doubling, and
+descending int order is the order of the sorted index tuples (w_2 * w_3^2
+is (2, 3, 3)), which is the print order.  ``GradedPolyF2.monomials``
+decodes the ints into those tuples, walking only the nonzero fields.
 
 Within one application of Sq^i the squares of generator powers are
 memoised, Sq^s(w_j^e) being the square of Sq^{s/2}(w_j^{e/2}) for even e
@@ -60,17 +57,15 @@ def binom_mod2(n: int, k: int) -> int:
     return 1 if (n & k) == k else 0
 
 
-def _fields(n: int, width: int) -> int:
-    """The exponent fields w_1 .. w_J of the ``width``-bit layout: a monomial
-    of degree d < 2^width has no factor w_j with j > d."""
-    return min(n, (1 << width) - 1)
+def _layout(n: int, degree: int) -> tuple[int, int]:
+    """The field width and the fields w_1 .. w_J of degree-``degree``
+    monomials: no factor w_j of such a monomial has j > degree."""
+    return degree.bit_length(), min(n, degree)
 
 
-def _decode(m: int, n: int, width: int) -> Monomial:
-    """The packed monomial ``m`` of the ``width``-bit layout as a sorted index
+def _decode(m: int, width: int, top: int) -> Monomial:
+    """The packed monomial ``m`` with fields w_1 .. w_top as a sorted index
     tuple, read from its nonzero fields only, highest set bit (lowest j) first."""
-    top = _fields(n, width)
-    m &= (1 << top * width) - 1  # drop the degree field
     out: list[int] = []
     while m:
         field = (m.bit_length() - 1) // width
@@ -111,20 +106,21 @@ class _ChunkText(dict):
 
 
 class GradedPolyF2(NamedTuple):
-    """A polynomial over F2 in graded generators w_1 ... w_n.
+    """A homogeneous polynomial over F2 in graded generators w_1 ... w_n.
 
-    ``terms`` holds one packed int per monomial at the canonical ``width``
-    (see the module docstring), so ``len(terms)`` counts monomials.
+    ``terms`` holds one packed int per monomial in the layout of ``n`` and
+    ``degree`` (see the module docstring), so ``len(terms)`` counts
+    monomials.  Zero has degree 0.
     """
 
     n: int
+    degree: int
     terms: frozenset[int]
-    width: int
 
     @property
-    def _shift(self) -> int:
-        """The bit where each monomial's degree field starts."""
-        return _fields(self.n, self.width) * self.width
+    def width(self) -> int:
+        """The bit width of each exponent field."""
+        return self.degree.bit_length()
 
     @classmethod
     def generator(cls, j: int, n: int) -> GradedPolyF2:
@@ -135,50 +131,40 @@ class GradedPolyF2(NamedTuple):
     @classmethod
     def from_monomials(cls, n: int, monomials: Iterable[Monomial]) -> GradedPolyF2:
         """The mod-2 sum of monomials given as generator-index tuples in any
-        order, packed at the width of the largest degree that survives."""
+        order; the monomials that survive it must share one degree."""
         survivors: set[Monomial] = set()
         for mon in monomials:
             if any(not 1 <= idx <= n for idx in mon):
                 raise ValueError(f"monomial {mon} has an index outside 1..{n}")
             survivors ^= {tuple(sorted(mon))}
-        width = max(map(sum, survivors), default=0).bit_length()
-        top = _fields(n, width)
-        terms = []
-        for mon in survivors:
-            m = sum(mon) << top * width
-            for idx in mon:
-                m += 1 << (top - idx) * width
-            terms.append(m)
-        return cls(n, frozenset(terms), width)
+        degrees = set(map(sum, survivors)) or {0}
+        if len(degrees) > 1:
+            raise ValueError(f"monomials of degrees {sorted(degrees)} in one polynomial")
+        (degree,) = degrees
+        width, top = _layout(n, degree)
+        terms = frozenset(sum(1 << (top - idx) * width for idx in mon) for mon in survivors)
+        return cls(n, degree, terms)
 
     def monomials(self) -> frozenset[Monomial]:
         """The terms as sorted generator-index tuples: w_2 * w_3^2 is (2, 3, 3)."""
-        n, width = self.n, self.width
-        return frozenset(_decode(m, n, width) for m in self.terms)
+        width, top = _layout(self.n, self.degree)
+        return frozenset(_decode(m, width, top) for m in self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_homogeneous(self) -> bool:
-        shift = self._shift
-        return not self.terms or min(self.terms) >> shift == max(self.terms) >> shift
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        if not self.width:
+        if not self.degree:
             return "1"  # the only monomial of degree 0
-        if self.is_homogeneous():
-            order = sorted(self.terms, reverse=True)  # ascending index tuples
-        else:
-            order = sorted(self.terms, key=lambda m: _decode(m, self.n, self.width))
-        top = _fields(self.n, self.width)
-        used = min(top, max(self.terms) >> self._shift)  # no w_j above the top degree
+        width, top = _layout(self.n, self.degree)
+        order = sorted(self.terms, reverse=True)  # ascending index tuples
         columns = [
-            _ChunkText(top, j, min(j + RENDER_CHUNK_FIELDS - 1, used), self.width).column(order)
-            for j in range(1, used + 1, RENDER_CHUNK_FIELDS)
+            _ChunkText(top, j, min(j + RENDER_CHUNK_FIELDS - 1, top), width).column(order)
+            for j in range(1, top + 1, RENDER_CHUNK_FIELDS)
         ]
-        return " + ".join("".join(chunks)[1:] or "1" for chunks in zip(*columns))
+        return " + ".join("".join(chunks)[1:] for chunks in zip(*columns))
 
 
 def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
@@ -187,18 +173,19 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
     Sq^0 = id and negative indices are rejected.  Wu pieces with a w_1
     factor are skipped, since the ideal (w_1) is stable under squares.
 
-    The output fields are as wide as the largest output degree needs, so no
-    field overflows: a product is an integer sum and a square is ``2 * m``.
-    Each Wu piece Sq^s(w_j) is packed straight into that layout.
+    A square of a degree-d polynomial is zero or homogeneous of degree
+    d + i, and its fields are as wide as that degree needs, so no field
+    overflows: a product is an integer sum and a square is ``2 * m``.  Each
+    Wu piece Sq^s(w_j) is packed straight into that layout.
     """
     if i < 0:
         raise ValueError("Sq index must be nonnegative")
     if i == 0 or not p.terms:
         return p
-    n, in_width, in_shift = p.n, p.width, p._shift
-    in_top, in_mask = _fields(n, in_width), (1 << in_width) - 1
-    width = ((max(p.terms) >> in_shift) + i).bit_length()
-    top = _fields(n, width)
+    n, degree = p.n, p.degree + i
+    in_width, in_top = _layout(n, p.degree)
+    in_mask = (1 << in_width) - 1
+    width, top = _layout(n, degree)
     memo: dict[tuple[int, int, int], set[int]] = {}
 
     def power(s: int, j: int, e: int) -> set[int]:
@@ -214,7 +201,7 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
                 lo, hi = s - t, j + t
                 if hi > n or lo == 1 or not binom_mod2(j - s + t - 1, t):
                     continue  # w_k = 0 for k > n, and w_1 = 0
-                g = (j + s) << top * width | 1 << (top - hi) * width
+                g = 1 << (top - hi) * width
                 out.add(g + (1 << (top - lo) * width) if lo else g)
         elif e % 2 == 0:
             if s % 2 == 0:  # Sq(x^2) = (Sq x)^2 mod 2
@@ -229,7 +216,7 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
 
     out: set[int] = set()
     for mon in p.terms:
-        cap = mon >> in_shift
+        cap = p.degree
         # Cartan over the distinct generators; states map Sq degree spent so
         # far to partial products, pruned when the rest cannot absorb i
         states: dict[int, set[int]] = {0: {0}}
@@ -248,10 +235,7 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
                             acc.symmetric_difference_update({g + m for m in partials})
             states = nxt
         out.symmetric_difference_update(states.get(i, ()))
-    if not out or (max(out) >> top * width).bit_length() < width:
-        # the top degree cancelled: re-pack at the narrower canonical width
-        return GradedPolyF2.from_monomials(n, (_decode(m, n, width) for m in out))
-    return GradedPolyF2(n, frozenset(out), width)
+    return GradedPolyF2(n, degree if out else 0, frozenset(out))
 
 
 def j_degrees_expected(h: int) -> list[int]:

@@ -14,10 +14,14 @@ truncation of a ``TruncatedPoly``, read from and built from its term map.
 F2[w_1, ..., w_n], w_1 kept, and :func:`sq_by_factors` applies a Steenrod
 square with it one factor at a time on sorted tuples, skipping the Wu
 pieces with a w_1 factor: the reference for ``spinchern.steenrod.sq_bso``.
+:func:`sq_top_oracle` is the square one below the top, Sq^{d-1} in degree
+d, which makes each Quillen generator from the one before; it needs no
+binomials and shares no code with either.
 :func:`poly_sum`, :func:`poly_product` and :func:`poly_degree` add,
-multiply and grade ``GradedPolyF2`` values, which the library only squares
-and prints; they go through index tuples alone (``from_monomials`` XORs
-repeated monomials, and packing adds up repeated indices).
+multiply and grade homogeneous ``GradedPolyF2`` values, which the library
+only squares and prints; they go through index tuples alone
+(``from_monomials`` XORs repeated monomials, and packing adds up repeated
+indices).
 """
 
 from __future__ import annotations
@@ -424,6 +428,30 @@ def sq_by_factors(i: int, mon: tuple[int, ...], n: int) -> GradedPolyF2:
                         nxt ^= {(spent + s, tuple(sorted(partial + gmon)))}
         states = nxt
     return GradedPolyF2.from_monomials(n, [partial for spent, partial in states if spent == i])
+
+
+def sq_top_oracle(monomials: Iterable[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
+    """Sq^{d-1} of a degree-d polynomial in H*(BSO(n)), on index tuples.
+
+    Sq^{d-1} falls one short of the top square, so by the Cartan formula
+    every factor of a monomial but one takes its top square x^2, and the one
+    left, w_j, takes Sq^{j-1}(w_j); every binomial in that Wu formula is 1,
+    so it is the sum of w_a w_b over a + b = 2j - 1, 0 <= a < j (w_0 = 1).
+    Equal factors give equal terms, so only the w_j of odd exponent count.
+    Pieces with a = 1 (w_1 = 0) or b > n are dropped.
+    """
+    out: set[tuple[int, ...]] = set()
+    for mon in monomials:
+        for j in set(mon):
+            if mon.count(j) % 2 == 0:
+                continue
+            rest = list(mon)
+            rest.remove(j)
+            for a in range(j):
+                b = 2 * j - 1 - a
+                if a != 1 and b <= n:
+                    out ^= {tuple(sorted(rest * 2 + [b] + [a] * (a > 0)))}
+    return out
 
 
 def poly_sum(n: int, *ps: GradedPolyF2) -> GradedPolyF2:

@@ -514,6 +514,10 @@ REPORT_DIGESTS = [
     # h read off the spinor at the top of the quillen range, n = 897..1024
     (("quillen", "--n", "897..1024", "--format", "md"),
      "b130df8c2f4033bbe8b71ea47eaed119dfb87eeabc0a011a9f032c3e40bfdb54"),
+    # the only pin that squares in a layout with fewer fields than n:
+    # theta_1..theta_7 at n = 1024 have fields for w_1 .. w_d alone
+    (("quillen", "--n", "1024", "--format", "json"),
+     "b5e179eab1dc2f64d8c4eb1d04cc24265af2edf5c397f4cefadd61ea7a0761e6"),
 ]
 
 

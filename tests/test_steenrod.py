@@ -12,7 +12,9 @@ H*(BSO(n)), so its results are compared with the oracle's after the w_1
 monomials are removed.  The roots oracle is slow for high powers, so
 ``sq_bso`` is also checked against ``oracles.sq_by_factors``, which takes
 its Wu pieces from the full-ring ``oracles.sq_on_generator`` and applies the
-Cartan formula one factor at a time.
+Cartan formula one factor at a time.  Each ideal generator is also checked
+against ``oracles.sq_top_oracle``, the square one below the top, which
+takes no Wu binomials.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from oracles import (
     poly_sum,
     sq_by_factors,
     sq_on_generator,
+    sq_top_oracle,
 )
 from spinchern.spin_reps import quillen_h
 from spinchern.steenrod import (
@@ -160,7 +163,7 @@ def test_sq_generator_index_out_of_range():
 @pytest.mark.parametrize("n", [6, 12, 40, 1024])
 def test_sq_bso_wu_pieces_match_full_ring_wu_formula(n):
     # sq_bso packs each Wu piece into the square's own layout, whose fields
-    # stop at w_J, J = 2^width - 1, below n for the larger n here
+    # stop at w_J, J = min(n, i + j), below n for the larger n here
     for j in range(2, min(n, 16) + 1):
         for i in range(j + 2):
             got = sq_bso(i, GradedPolyF2.generator(j, n))
@@ -297,39 +300,50 @@ def _sorted_xor(monomials: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
     return out
 
 
-def test_inhomogeneous_polynomial_prints_in_tuple_order():
-    p = GradedPolyF2.from_monomials(4, [(3,), (2, 3), (2,), (), (2, 2)])
-    assert str(p) == "1 + w2 + w2^2 + w2*w3 + w3"
-    one, zero = GradedPolyF2.from_monomials(4, [()]), GradedPolyF2.from_monomials(4, [])
-    assert (str(one), str(zero)) == ("1", "0")
-
-
-def test_width_shrinks_back_when_the_top_degree_cancels():
-    # the square is taken on 5-bit fields for degree 16 + 1, but Sq^1 w2^8 = 0
-    # leaves only w3^2 = Sq^1(w2*w3), which needs 3
-    p = GradedPolyF2.from_monomials(6, [(2, 3), (2,) * 8])
-    want = w(3, 3, n=6)
-    got = sq_bso(1, p)
-    assert p.width == 5 and want.width == 3
-    assert got == want and hash(got) == hash(want) and {want: 1}[got] == 1
-    assert (got.width, got.terms) == (want.width, want.terms)
-    with pytest.raises(AttributeError):
-        got.width = 5
-
-
 @pytest.mark.parametrize("n", [17, 1024])
 def test_monomials_round_trip_through_from_monomials(n):
-    # at n = 1024 the degree-65 layout has 7-bit fields for w_1 .. w_127 only
+    # at n = 1024 the degree-65 layout has 7-bit fields for w_1 .. w_65 only
     for theta in j_ideal_generators(n, 65):
         assert GradedPolyF2.from_monomials(n, theta.monomials()) == theta, poly_degree(theta)
 
 
 def test_from_monomials_is_canonical_after_cancellation():
-    # w2^8 listed twice cancels, so the width comes from w2*w3 (degree 5)
-    # alone, in any order of the repeated monomials
+    # w2^8 listed twice cancels, leaving w2*w3 (degree 5, 3-bit fields) in
+    # any order of the repeated monomials; equal values hash alike, and the
+    # width, read off the degree, cannot be set
     p = GradedPolyF2.from_monomials(6, [(2,) * 8, (3, 2), (2,) * 8])
-    assert p == w(2, 3, n=6) and p.width == 3
-    assert GradedPolyF2.from_monomials(6, [(2,) * 8, (2,) * 8]) == GradedPolyF2.from_monomials(6, [])
+    want = w(2, 3, n=6)
+    assert p == want and hash(p) == hash(want) and {want: 1}[p] == 1
+    assert (p.degree, p.width, p.terms) == (5, 3, want.terms)
+    with pytest.raises(AttributeError):
+        p.width = 5
+    zero = GradedPolyF2.from_monomials(6, [(2,) * 8, (2,) * 8])
+    assert zero == GradedPolyF2.from_monomials(6, []) and str(zero) == "0"
+    assert str(GradedPolyF2.from_monomials(6, [()])) == "1"
+
+
+def test_homogeneous_polynomial_prints_in_tuple_order():
+    p = GradedPolyF2.from_monomials(6, [(3, 3), (4, 2), (2, 2, 2), (6,)])
+    assert str(p) == "w2^3 + w2*w4 + w3^2 + w6"
+
+
+def test_from_monomials_rejects_mixed_degrees():
+    with pytest.raises(ValueError, match="degrees"):
+        GradedPolyF2.from_monomials(6, [(2,), (3,)])
+    with pytest.raises(ValueError, match="degrees"):
+        GradedPolyF2.from_monomials(6, [(), (2, 2)])
+    # the degrees are read off the monomials that survive the mod-2 sum
+    assert GradedPolyF2.from_monomials(6, [(2,), (3,), (3,)]) == w(2, n=6)
+
+
+def test_zero_is_the_degree_0_value():
+    n = 6
+    zero = GradedPolyF2(n, 0, frozenset())
+    p = GradedPolyF2.from_monomials(n, [(2, 3), (5,)])
+    assert poly_sum(n, p, p) == zero == GradedPolyF2.from_monomials(n, [])
+    # beyond the degree, and where every Cartan term cancels (Sq^1 w2^8)
+    assert sq_bso(6, p) == sq_bso(1, w(*[2] * 8, n=n)) == zero
+    assert zero.degree == 0 and sq_bso(3, zero) == zero
 
 
 def _partitions(d: int, lo: int, hi: int) -> list[tuple[int, ...]]:
@@ -342,8 +356,9 @@ def _partitions(d: int, lo: int, hi: int) -> list[tuple[int, ...]]:
 
 @pytest.mark.parametrize("n", [5, 12])
 def test_sq_bso_masks_w1_in_the_top_field(n):
-    # output degree 4..7 gives 3-bit fields with w_1's on top; at n = 12
-    # the layout stops at w_7, below n, so w_1's field sits lower in the int
+    # output degree 4..7 gives 3-bit fields with w_1's on top, at bit
+    # 3 * (J - 1) for J = min(n, d + i): at n = 12 it moves with the
+    # output degree, and at n = 5 it stops at bit 12
     for d in range(2, 8):
         for mon in _partitions(d, 2, n):
             p = GradedPolyF2.from_monomials(n, [mon])
@@ -353,14 +368,24 @@ def test_sq_bso_masks_w1_in_the_top_field(n):
                 assert not got or d + i < 4 or got.width == 3, (i, mon)
 
 
+def _random_homogeneous(rng: random.Random, n: int, degree: int) -> list[tuple[int, ...]]:
+    """One to four random unsorted index tuples in 1..n, all of one degree."""
+    out = []
+    for _ in range(rng.randint(1, 4)):
+        mon, left = [], degree
+        while left:
+            mon.append(rng.randint(1, min(n, left)))
+            left -= mon[-1]
+        rng.shuffle(mon)
+        out.append(tuple(mon))
+    return out
+
+
 def test_mul_across_widths_matches_tuple_oracle():
     rng = random.Random(43)
     for _ in range(80):
         n = rng.randint(1, 9)
-        a, b = (
-            [tuple(rng.choices(range(1, n + 1), k=rng.randint(0, top))) for _ in range(rng.randint(1, 4))]
-            for top in (3, 12)
-        )
+        a, b = (_random_homogeneous(rng, n, rng.randint(0, top)) for top in (8, 40))
         pa, pb = GradedPolyF2.from_monomials(n, a), GradedPolyF2.from_monomials(n, b)
         assert pa.monomials() == _sorted_xor(a) and pb.monomials() == _sorted_xor(b), (a, b, n)
         want = _sorted_xor(x + y for x in pa.monomials() for y in pb.monomials())
@@ -464,7 +489,27 @@ def test_presentation_shape_small_n():
         gens = j_ideal_generators(n)
         assert len(gens) == quillen_h(n).h
         assert gens[0] == w(2, n=n)
-        assert all(g.is_homogeneous() for g in gens)
+        assert [g.degree for g in gens] == j_degrees_expected(len(gens))
+
+
+def test_theta_is_the_top_minus_one_square_of_the_theta_before():
+    # deg theta_r = d = 2^{r-1} + 1 and theta_{r+1} = Sq^{d-1} theta_r, so
+    # the oracle, which needs no Wu binomials, checks every theta past w_2;
+    # at n = 16 the last one has degree 65
+    cases = [(n, None) for n in range(6, 17)] + [(n, 65) for n in (17, 40, 1024)]
+    for n, top in cases:
+        gens = j_ideal_generators(n, top)
+        for theta, nxt in zip(gens, gens[1:]):
+            assert sq_top_oracle(theta.monomials(), n) == nxt.monomials(), (n, nxt.degree)
+
+
+def test_top_minus_one_oracle_matches_factor_oracle():
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        mon = _random_power_monomial(rng, 2, n)
+        want = sq_by_factors(sum(mon) - 1, mon, n)
+        assert sq_top_oracle([mon], n) == want.monomials(), (mon, n)
 
 
 def test_presentation_shape_large_n_depth_limited():
