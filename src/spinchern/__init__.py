@@ -25,7 +25,6 @@ from .exceptional import (
     ExceptionalCase,
     VerificationReport,
     builtin_cases,
-    dimension_audit,
     indecomposable_in_image,
     verify_all,
     verify_case,
@@ -98,6 +97,5 @@ __all__ = [
     "indecomposable_in_image",
     "verify_case",
     "verify_all",
-    "dimension_audit",
     "__version__",
 ]

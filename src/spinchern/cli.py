@@ -63,9 +63,11 @@ DEFAULT_J_POLY_LIMIT = 65
 # Input budgets, estimated from closed forms and checked before any work.
 MAX_N = 1024  # quillen and restrict; a quillen row at n holds ~n^2/8 bits of degrees
 MAX_QUILLEN_ROWS = 128  # a row costs ~0.03 s and 82-132 KB of json report (n 6..1024)
-# json --full-j up to n = 20: its degree-513 generator has 2,534,841 terms, and
-# `quillen --n 20 --full-j` took 15 s and 690 MiB peak RSS (2-vCPU VM,
-# Python 3.11), most of it the packed terms and the printed report
+# json --full-j up to n = 20, where the degree-513 generator has 2,534,841 terms.
+# The largest request accepted, `quillen --n 19..20 --full-j`, has two such
+# rows: its 166.8 MB report took 33-45 s and 763 MiB peak RSS, against 23-28 s,
+# 686 MiB and 92.3 MB for n = 20 alone (2-vCPU VM, Python 3.11), most of it
+# the packed terms and the printed report
 MAX_FULL_J_DEGREE = 513
 MAX_SERIES_TERMS = 2**18  # coefficients of one truncated series
 MAX_SERIES_BITS = 2**24  # one integral series, all its coefficients together
@@ -190,7 +192,7 @@ def run_theorem1(groups: list[str] | None, convention: str) -> dict:
         "command": "theorem1",
         "tool_version": __version__,
         "convention": convention,
-        "cases": [r.to_dict() for r in reports],
+        "cases": [r._asdict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
 

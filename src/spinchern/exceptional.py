@@ -57,15 +57,6 @@ class ExceptionalCase(NamedTuple):
     class_kind: str  # SW (real representation) or Chern (complex)
     top_degree: int
 
-    @property
-    def spin_group(self) -> SpinGroup:
-        return SpinGroup(self.spin_n)
-
-    @property
-    def top_u_exponent(self) -> int:
-        # w_{2k} and c_k both sit at u^k; top_degree is cohomological
-        return self.top_degree // 2
-
 
 # The four built-in cases by group, in the order F4, E6, E7, E8.
 _CASES = {
@@ -143,8 +134,10 @@ def indecomposable_in_image(u_power: int, h: int) -> str:
 class VerificationReport(NamedTuple):
     """Machine-checkable record of one case verification.
 
-    ``to_dict`` is the case's entry in a theorem1 report.  The case
-    generates the image exactly when its top class is indecomposable there.
+    ``_asdict()`` is the case's entry in a theorem1 report, so
+    ``total_class`` keys its coefficients by the u-exponent as text.  The
+    case generates the image exactly when its top class is indecomposable
+    there.
     """
 
     group: str
@@ -155,7 +148,7 @@ class VerificationReport(NamedTuple):
     cutoff: int
     character: str
     target: str
-    total_class: dict[int, int]
+    total_class: dict[str, int]
     total_class_str: str
     top_class: str
     expected: str
@@ -166,54 +159,27 @@ class VerificationReport(NamedTuple):
     passed: bool
     generates_image: bool
 
-    def to_dict(self) -> dict:
-        out = self._asdict()
-        out["total_class"] = {str(k): v for k, v in sorted(self.total_class.items())}
-        return out
-
-
-def dimension_audit(case: ExceptionalCase) -> dict:
-    """Compare computed virtual dimensions with the ambient target dimension.
-
-    Both lambda conventions are evaluated; the audit passes when the
-    vector-rep dimension matches the ambient one, and a mismatch under the
-    literal convention is flagged in a note rather than failed.
-    """
-    g = case.spin_group
-    dim_vec = dimension(g, case.restriction, VECTOR_REP)
-    dim_lit = dimension(g, case.restriction, PAPER_LITERAL)
-    entry = {
-        "ambient": case.ambient_dim,
-        "computed_vector_rep": dim_vec,
-        "computed_paper_literal": dim_lit,
-        "pass": dim_vec == case.ambient_dim,
-        "note": None,
-    }
-    if dim_lit != dim_vec:
-        entry["note"] = (
-            f"literal lambda convention gives dimension {dim_lit} "
-            f"(vector-rep gives {dim_vec}, ambient is {case.ambient_dim})"
-        )
-    return entry
-
 
 def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> VerificationReport:
-    """Run the whole pipeline for one case and report every verdict.
+    """Run the whole pipeline for one case and build its theorem1 entry.
 
     Steps: build the circle character; take the total class of the matching
     kind (plus the complexified Chern class for SW-kind cases, checking the
     square relation c = w^2 against the integral class); check the total
     class is exactly 1 plus the expected top class; classify the top class
-    in the image subring; audit the dimension.  Every series is cut at twice
-    the highest u-power checked (the complexified top class for SW kind).
+    in the image subring; audit the dimension under both lambda conventions
+    (the vector-rep one must be the ambient one; a literal-convention
+    mismatch is only a note).  Every series is cut at twice the highest
+    u-power checked (the complexified top class for SW kind).
     Mismatches produce a failing report with the computed witness, never an
     exception.
     """
+    g = SpinGroup(case.spin_n)
     h = quillen_h(case.spin_n).h
-    top_u = case.top_u_exponent
+    top_u = case.top_degree // 2  # w_{2k} and c_k both sit at u^k
     cutoff = 2 * (case.top_degree if case.class_kind == SW_KIND else top_u)
 
-    weights = circle_weights(case.spin_group, case.restriction, convention)
+    weights = circle_weights(g, case.restriction, convention)
     chern_f2 = total_chern(weights, cutoff, "F2")
     series = chern_f2 if case.class_kind == CHERN_KIND else total_sw_real(weights, cutoff)
     top_coeff = series.terms.get(top_u, 0)
@@ -245,10 +211,15 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
         verdicts["square_relation"] = square_ok
 
     generates_image = membership == INDECOMPOSABLE
-    audit = dimension_audit(case)
-    verdicts["dimension"] = "pass" if audit["pass"] else "fail"
-    if audit["note"]:
-        notes.append(audit["note"])
+    dim_vec = dimension(g, case.restriction, VECTOR_REP)
+    dim_lit = dimension(g, case.restriction, PAPER_LITERAL)
+    dimension_ok = dim_vec == case.ambient_dim
+    verdicts["dimension"] = "pass" if dimension_ok else "fail"
+    if dim_lit != dim_vec:
+        notes.append(
+            f"literal lambda convention gives dimension {dim_lit} "
+            f"(vector-rep gives {dim_vec}, ambient is {case.ambient_dim})"
+        )
 
     return VerificationReport(
         group=case.group,
@@ -259,19 +230,15 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
         cutoff=cutoff,
         character=format_character(weights),
         target=case.target,
-        total_class=series.terms,
+        total_class={str(k): c for k, c in sorted(series.terms.items())},
         total_class_str=str(series),
         top_class=u_text(top_u) if top_coeff else "0",
         expected=u_text(top_u),
         verdicts=verdicts,
         complexified=complexified,
-        dimensions={
-            "ambient": audit["ambient"],
-            "vector_rep": audit["computed_vector_rep"],
-            "paper_literal": audit["computed_paper_literal"],
-        },
+        dimensions={"ambient": case.ambient_dim, "vector_rep": dim_vec, "paper_literal": dim_lit},
         notes=notes,
-        passed=generates_image and shape_ok and sw_ok and audit["pass"],
+        passed=generates_image and shape_ok and sw_ok and dimension_ok,
         generates_image=generates_image,
     )
 

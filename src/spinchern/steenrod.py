@@ -8,9 +8,9 @@ ring of oriented bundles, and act on generators by the Wu formula
 
 with w_0 = 1 and w_k = 0 for k > n, and extend to products by the Cartan
 formula.  Binomials with negative top argument are the generalized ones,
-binom(-a, t) = binom(a + t - 1, t) mod 2, which is what makes the excess
-terms cancel (Sq^i w_j = 0 for i > j).  Everything mod 2 goes through
-Lucas' theorem, a bitwise test.
+which make the excess terms cancel (Sq^i w_j = 0 for i > j).  Everything
+mod 2 goes through Lucas' theorem, a bitwise test that reads a negative
+top argument as its 2-adic expansion.
 
 A polynomial is homogeneous: its degree d is stored once, and each
 monomial is one packed Python int (Monagan & Pearce's packed exponent
@@ -51,9 +51,6 @@ def binom_mod2(n: int, k: int) -> int:
     """binom(n, k) mod 2 for any integer n, k >= 0 (generalized for n < 0)."""
     if k < 0:
         return 0
-    if n < 0:
-        # binom(n, k) = (-1)^k binom(k - n - 1, k)
-        n = k - n - 1
     return 1 if (n & k) == k else 0
 
 
@@ -189,14 +186,13 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
     memo: dict[tuple[int, int, int], set[int]] = {}
 
     def power(s: int, j: int, e: int) -> set[int]:
-        """Sq^s(w_j^e) as a set of packed monomials (shared: never mutated)."""
+        """Sq^s(w_j^e) for s <= j * e (every caller stays within the degree)
+        as a set of packed monomials (shared: never mutated)."""
         key = (s, j, e)
         if key in memo:
             return memo[key]
         out: set[int] = set()
-        if s > j * e:
-            pass  # instability: Sq^s x = 0 above the degree of x
-        elif e == 1:  # the Wu formula; its pieces are distinct monomials
+        if e == 1:  # the Wu formula; its pieces are distinct monomials
             for t in range(s + 1):
                 lo, hi = s - t, j + t
                 if hi > n or lo == 1 or not binom_mod2(j - s + t - 1, t):

@@ -22,11 +22,15 @@ multiply and grade homogeneous ``GradedPolyF2`` values, which the library
 only squares and prints; they go through index tuples alone
 (``from_monomials`` XORs repeated monomials, and packing adds up repeated
 indices).
+:func:`e8_roots` and :func:`f4_short_roots` are root data in doubled
+coordinates, from which the tests read the weights of the four exceptional
+representations independently of the hand-entered case table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, product
 from math import comb
 from typing import Iterable, Mapping
 
@@ -321,6 +325,37 @@ def circle_oracle(
     """The weight map of ``sym`` on the first circle factor, from the T^m
     expansion with every other variable set to 1."""
     return weight_map(character_on_Tm(g, sym, convention).substitute_ones(0))
+
+
+# ---- root data -------------------------------------------------------------------
+
+
+def e8_roots() -> list[ExponentVector]:
+    """The 240 roots of E8 in doubled coordinates 2*mu, so that a root is the
+    exponent vector of its torus monomial: the 112 vectors +-2e_i +- 2e_j and
+    the 128 sign vectors (+-1, ..., +-1) with an even number of minus signs
+    (Bourbaki, *Lie Groups and Lie Algebras*, ch. VI, plate VII)."""
+    roots = []
+    for i, j in combinations(range(8), 2):
+        for a, b in product((2, -2), repeat=2):
+            v = [0] * 8
+            v[i], v[j] = a, b
+            roots.append(tuple(v))
+    roots += [v for v in product((1, -1), repeat=8) if v.count(-1) % 2 == 0]
+    return roots
+
+
+def f4_short_roots() -> list[ExponentVector]:
+    """The 24 short roots of F4 in doubled coordinates: the 8 vectors +-2e_i
+    and the 16 sign vectors (+-1, +-1, +-1, +-1) (Adams, *Lectures on
+    Exceptional Lie Groups*)."""
+    roots = []
+    for i in range(4):
+        for a in (2, -2):
+            v = [0] * 4
+            v[i] = a
+            roots.append(tuple(v))
+    return roots + list(product((1, -1), repeat=4))
 
 
 # ---- truncated series -----------------------------------------------------------

@@ -29,7 +29,6 @@ from spinchern.exceptional import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
     builtin_cases,
-    dimension_audit,
     verify_case,
 )
 from spinchern.spin_reps import (
@@ -245,13 +244,13 @@ def test_criterion_08_whitney_and_virtual_round_trip():
 
 
 def test_criterion_09_dimension_audit():
-    audits = {c.group: dimension_audit(c) for c in builtin_cases()}
-    assert audits["E6"]["computed_vector_rep"] == 27
-    assert audits["E7"]["computed_vector_rep"] == 56
-    assert audits["E8"]["computed_vector_rep"] == 248
-    assert audits["F4"]["computed_vector_rep"] == 26
-    assert audits["F4"]["computed_paper_literal"] == 25
-    assert audits["F4"]["pass"] and audits["F4"]["note"] is not None
+    reports = {c.group: verify_case(c) for c in builtin_cases()}
+    assert reports["E6"].dimensions["vector_rep"] == 27
+    assert reports["E7"].dimensions["vector_rep"] == 56
+    assert reports["E8"].dimensions["vector_rep"] == 248
+    assert reports["F4"].dimensions["vector_rep"] == 26
+    assert reports["F4"].dimensions["paper_literal"] == 25
+    assert reports["F4"].verdicts["dimension"] == "pass" and reports["F4"].notes
     g9 = SpinGroup(9)
     f4_expr = next(c for c in builtin_cases() if c.group == "F4").restriction
     assert dimension(g9, f4_expr, VECTOR_REP) == 26

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
 
+from oracles import character_on_Tm, e8_roots, f4_short_roots
 from spinchern.exceptional import (
     CHERN_KIND,
     DECOMPOSABLE,
@@ -13,17 +17,19 @@ from spinchern.exceptional import (
     SW_KIND,
     ExceptionalCase,
     builtin_cases,
-    dimension_audit,
     get_case,
     indecomposable_in_image,
     verify_all,
     verify_case,
 )
 from spinchern.spin_reps import (
+    DELTA,
     DELTA_PLUS,
     PAPER_LITERAL,
     VECTOR_REP,
     RepExpr,
+    SpinGroup,
+    circle_weights,
     lam,
     triv,
 )
@@ -80,6 +86,70 @@ def test_verify_all_runs_exactly_the_named_groups():
     for groups in (["G2"], ["F4", "G2"]):
         with pytest.raises(ValueError, match="unknown group 'G2'"):
             verify_all(groups)
+
+
+# ---- the case table against the E8 root system -------------------------------------
+
+
+def _torus_weights(case: ExceptionalCase, convention: str = VECTOR_REP) -> Counter:
+    """The weights of the case's restriction, from its full T^m character."""
+    g = SpinGroup(case.spin_n)
+    out: Counter = Counter()
+    for sym, mult in case.restriction.terms:
+        for exps, c in character_on_Tm(g, sym, convention).items():
+            out[exps] += mult * c
+    return +out
+
+
+def _root_weights() -> dict[str, Counter]:
+    """The four representations read off root data, in doubled coordinates
+    (Adams, *Lectures on Exceptional Lie Groups*): the 248 of E8 is its
+    roots and 8 zero weights; the 56 of E7 is the roots mu with
+    <mu, e7 - e8> = 1; the 27 of E6 is the roots whose (mu6, mu7, mu8)
+    projects onto the plane orthogonal to (1, 1, 1) as e6 does; the 26 of
+    F4 is its short roots and 2 zero weights."""
+    roots = e8_roots()
+    return {
+        "F4": Counter(f4_short_roots()) + Counter({(0,) * 4: 2}),
+        # mu6 - 1 = mu7 = mu8, doubled
+        "E6": Counter(r[:5] for r in roots if r[5] - 2 == r[6] == r[7]),
+        # the pinned root e7 - e8 gives Delta-; e7 + e8 would give Delta+
+        "E7": Counter(r[:6] for r in roots if r[6] - r[7] == 2),
+        "E8": Counter(roots) + Counter({(0,) * 8: 8}),
+    }
+
+
+def test_case_table_matches_e8_root_system():
+    roots = _root_weights()
+    for case in builtin_cases():
+        weights = _torus_weights(case)
+        assert weights == roots[case.group], case.group
+        assert sum(weights.values()) == case.ambient_dim
+        # a weight's circle weight is its first doubled coordinate
+        circle = circle_weights(SpinGroup(case.spin_n), case.restriction, VECTOR_REP)
+        assert Counter(exps[0] for exps in weights.elements()) == Counter(circle)
+
+
+def test_root_system_negative_controls():
+    roots = _root_weights()
+    # the E7 label depends on the pinned root: <mu, e7 + e8> = 1 keeps the
+    # half-integer roots with an even number of minus signs among the first
+    # six coordinates, which is 2 lambda1 + Delta+, not the case's Delta-
+    e7 = get_case("E7")
+    other_root = Counter(r[:6] for r in e8_roots() if r[6] + r[7] == 2)
+    assert other_root != _torus_weights(e7)
+    plus = e7._replace(restriction=RepExpr.from_dict({lam(1): 2, DELTA_PLUS: 1}))
+    assert other_root == _torus_weights(plus)
+    # lambda1 at n = 9 loses its weight-0 line under the literal convention
+    literal = _torus_weights(get_case("F4"), PAPER_LITERAL)
+    assert sum(literal.values()) == 25
+    assert literal != roots["F4"]
+    # flipping the last torus coordinate swaps Delta+ and Delta- (the outer
+    # automorphism of D_m), which the even cases must notice
+    for group in ("E6", "E7", "E8"):
+        weights = _torus_weights(get_case(group))
+        flipped = Counter({e[:-1] + (-e[-1],): c for e, c in weights.items()})
+        assert flipped != roots[group], group
 
 
 # ---- image subring -------------------------------------------------------------
@@ -156,7 +226,7 @@ def test_square_relation_is_the_complexification_check(monkeypatch):
     # c = w^2 is checked through the integral class of the complexification,
     # so a failing check must fail exactly the SW-kind cases
     monkeypatch.setattr("spinchern.exceptional.complexification_check", lambda w, c: False)
-    reports = {r.group: r.to_dict() for r in verify_all()}
+    reports = {r.group: r._asdict() for r in verify_all()}
     for group in ("F4", "E8"):
         assert reports[group]["verdicts"]["square_relation"] is False
         assert reports[group]["passed"] is False
@@ -222,6 +292,26 @@ def test_failing_case_reports_witness():
     assert report.notes
 
 
+def test_total_class_keys_are_text():
+    # the record is the report entry itself: u-exponents are text keys, so a
+    # sorted json dump orders a class of three or more terms as text
+    bogus = ExceptionalCase(
+        group="F4",
+        spin_n=9,
+        restriction=RepExpr.from_dict({lam(1): 1, DELTA: 3}),
+        target="SO(57)",
+        ambient_dim=57,
+        class_kind=SW_KIND,
+        top_degree=16,
+    )
+    report = verify_case(bogus)
+    assert not report.passed
+    assert report.total_class == {"0": 1, "8": 1, "16": 1, "24": 1}
+    assert json.dumps(report._asdict()["total_class"], sort_keys=True) == (
+        '{"0": 1, "16": 1, "24": 1, "8": 1}'
+    )
+
+
 # ---- remark and dimension audit ------------------------------------------------------
 
 
@@ -232,16 +322,19 @@ def test_remark_generation():
 
 
 def test_dimension_audit_entries():
-    audits = {c.group: dimension_audit(c) for c in builtin_cases()}
-    assert audits["E6"]["computed_vector_rep"] == 27
-    assert audits["E7"]["computed_vector_rep"] == 56
-    assert audits["E8"]["computed_vector_rep"] == 248
-    assert audits["E8"]["computed_paper_literal"] == 248
-    assert audits["F4"]["computed_vector_rep"] == 26
-    assert audits["F4"]["computed_paper_literal"] == 25
-    assert audits["F4"]["pass"] and audits["F4"]["note"]
+    reports = {c.group: verify_case(c) for c in builtin_cases()}
+    assert reports["E6"].dimensions["vector_rep"] == 27
+    assert reports["E7"].dimensions["vector_rep"] == 56
+    assert reports["E8"].dimensions["vector_rep"] == 248
+    assert reports["E8"].dimensions["paper_literal"] == 248
+    assert reports["F4"].dimensions["vector_rep"] == 26
+    assert reports["F4"].dimensions["paper_literal"] == 25
+    assert reports["F4"].verdicts["dimension"] == "pass"
+    assert reports["F4"].notes == [
+        "literal lambda convention gives dimension 25 (vector-rep gives 26, ambient is 26)"
+    ]
     for grp in ("E6", "E7", "E8"):
-        assert audits[grp]["pass"] and audits[grp]["note"] is None
+        assert reports[grp].verdicts["dimension"] == "pass" and reports[grp].notes == []
 
 
 def test_e8_dimension_breakdown():
@@ -254,10 +347,8 @@ def test_e8_dimension_breakdown():
 
 
 def test_report_serialization_is_json_friendly():
-    import json
-
     report = verify_case(get_case("E8"))
-    payload = json.dumps(report.to_dict(), sort_keys=True)
+    payload = json.dumps(report._asdict(), sort_keys=True)
     assert '"passed": true' in payload
     # reports and cases are immutable values
     assert verify_case(get_case("E8")) == report
