@@ -30,7 +30,7 @@ import json
 import math
 import re
 import sys
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import __version__
 from .char_classes import TruncatedPoly, is_palindromic, mod2, total_chern, total_sw_real
@@ -175,8 +175,6 @@ def run_prop2(m_lo: int, m_hi: int) -> dict:
                 checks.append({"m": m, "n": n, "symbol": str(sym), "computed": str(series),
                                "expected": str(expected), "pass": series == expected})
     return {
-        "command": "prop2",
-        "tool_version": __version__,
         "convention": PAPER_LITERAL,
         "m_range": f"{m_lo}..{m_hi}",
         "checks": checks,
@@ -186,18 +184,16 @@ def run_prop2(m_lo: int, m_hi: int) -> dict:
     }
 
 
-def run_theorem1(groups: list[str] | None, convention: str) -> dict:
+def run_theorem1(groups: Sequence[str], convention: str) -> dict:
     reports = verify_all(groups, convention=convention)
     return {
-        "command": "theorem1",
-        "tool_version": __version__,
         "convention": convention,
         "cases": [r._asdict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
 
 
-def run_quillen(n_lo: int, n_hi: int, full_j: bool, generators: bool = True) -> dict:
+def run_quillen(n_lo: int, n_hi: int, full_j: bool, generators: bool) -> dict:
     """The Quillen table rows for n_lo..n_hi.  With ``generators`` each row
     also carries the ideal generator polynomials up to degree
     ``DEFAULT_J_POLY_LIMIT`` (every degree under ``full_j``); md and plain
@@ -213,24 +209,14 @@ def run_quillen(n_lo: int, n_hi: int, full_j: bool, generators: bool = True) -> 
     rows = []
     for n in range(n_lo, n_hi + 1):
         info = quillen_h(n)
-        row = {
-            "n": n,
-            "m": n // 2,
-            "type": info.type,
-            "h": info.h,
-            "deg_z": info.deg_z,
-            "table_h": info.table_h,
-            "note": info.note,
-            "j_degrees": j_degrees_expected(info.h),
-        }
+        row = {**info._asdict(), "m": n // 2, "deg_z": info.deg_z,
+               "j_degrees": j_degrees_expected(info.h)}
         if generators:
             gens = j_ideal_generators(n, max_degree)
             row["generators"] = [str(g) for g in gens]
             row["generators_truncated"] = len(gens) < info.h
         rows.append(row)
     return {
-        "command": "quillen",
-        "tool_version": __version__,
         "rows": rows,
         "discrepancies": sum(1 for r in rows if r["note"]),
     }
@@ -250,7 +236,7 @@ def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -
     moving = sum(abs(a) for k, a in weights.items() if k)
     cut = cutoff if cutoff is not None else max(16, 2 * moving)
     if cut < 1:
-        raise UsageError(f"cutoff must be positive, got {cut}")
+        raise UsageError(f"cutoff must be positive, got {shown(cut)}")
     _check_chern_budget(weights, cut)
 
     chern = total_chern(weights, cut)
@@ -259,8 +245,6 @@ def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -
     sw = str(total_sw_real(weights, cut)) if palindromic and not virtual else None
 
     return {
-        "command": "restrict",
-        "tool_version": __version__,
         "n": n,
         "expression": str(expr),
         "convention": convention,
@@ -447,17 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("prop2", "sweep the mod-2 total Chern class identities")
     p.add_argument("--m", default="3..12", help="torus rank range A..B (default: %(default)s)")
+    p.set_defaults(run=lambda args: run_prop2(*_parse_range(args.m, "m")))
 
     p = subcommand("theorem1", "verify the exceptional-group top classes")
     p.add_argument("--group", choices=("all",) + GROUP_ORDER, default="all")
     p.add_argument("--convention", choices=CONVENTIONS, default=VECTOR_REP,
                    help="odd-n lambda convention (default: %(default)s)")
+    p.set_defaults(run=lambda args: run_theorem1(
+        GROUP_ORDER if args.group == "all" else [args.group], args.convention))
 
     p = subcommand("quillen", "spinor type, h, deg z and ideal generators")
     p.add_argument("--n", required=True, help="n or range A..B")
     p.add_argument("--full-j", action="store_true",
                    help="in json reports, expand ideal generator polynomials of every "
                         "degree (n <= 20); md and plain reports expand none")
+    p.set_defaults(run=lambda args: run_quillen(
+        *_parse_range(args.n, "n"), args.full_j, args.fmt == "json"))
 
     p = subcommand("restrict", "restrict an expression to the circle")
     p.add_argument("--n", type=int, required=True)
@@ -468,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="odd-n lambda convention (default: %(default)s)")
     p.add_argument("--cutoff", type=int, default=None,
                    help="truncation cutoff in powers of u (default: task-derived)")
+    p.set_defaults(run=lambda args: run_restrict(
+        args.n, args.expression, args.convention, args.cutoff))
     return parser
 
 
@@ -488,21 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(map(shown, extra))}")
     try:
-        if args.command == "prop2":
-            m_lo, m_hi = _parse_range(args.m, "m")
-            report = run_prop2(m_lo, m_hi)
-            code = 0 if report["all_passed"] else MISMATCH
-        elif args.command == "theorem1":
-            groups = None if args.group == "all" else [args.group]
-            report = run_theorem1(groups, args.convention)
-            code = 0 if report["all_passed"] else MISMATCH
-        elif args.command == "quillen":
-            n_lo, n_hi = _parse_range(args.n, "n")
-            report = run_quillen(n_lo, n_hi, args.full_j, generators=args.fmt == "json")
-            code = 0
-        else:
-            report = run_restrict(args.n, args.expression, args.convention, args.cutoff)
-            code = 0
+        report = {"command": args.command, "tool_version": __version__, **args.run(args)}
     except (UsageError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -518,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return code
+    return MISMATCH if report.get("all_passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ square relation between Stiefel-Whitney and Chern classes.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .char_classes import complexification_check, total_chern, total_sw_real, u_text
 from .spin_reps import (
@@ -244,11 +244,10 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
 
 
 def verify_all(
-    groups: list[str] | None = None, convention: str = VECTOR_REP
+    groups: Sequence[str] = GROUP_ORDER, convention: str = VECTOR_REP
 ) -> list[VerificationReport]:
-    """Verify the named groups in the order given; ``None`` means all four.
+    """Verify the named groups in the order given, by default all four.
 
     An unknown name raises ``ValueError`` (see :func:`get_case`).
     """
-    cases = [get_case(name) for name in (GROUP_ORDER if groups is None else groups)]
-    return [verify_case(case, convention) for case in cases]
+    return [verify_case(get_case(name), convention) for name in groups]

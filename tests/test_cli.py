@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import oracles
 import spinchern
 from spinchern.char_classes import TruncatedPoly, total_chern
-from spinchern.cli import _chern_bounds, main
+from spinchern.cli import _chern_bounds, main, verify_all
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -59,6 +59,38 @@ def test_prop2_below_regime_is_usage_error(capsys):
 def test_prop2_bad_range_syntax(capsys):
     assert main(["prop2", "--m", "4..x"]) == 2
     assert main(["prop2", "--m", "6..4"]) == 2
+
+
+def test_a_mismatch_exits_1_and_still_prints_the_report(capsys, monkeypatch):
+    # one wrong prop2 class: 1 + u where the first lambda class is 1
+    calls = []
+
+    def first_wrong(weights, cutoff, ring):
+        calls.append(weights)
+        if len(calls) == 1:
+            return TruncatedPoly(ring, cutoff, {0: 1, 1: 1})
+        return total_chern(weights, cutoff, ring)
+
+    monkeypatch.setattr("spinchern.cli.total_chern", first_wrong)
+    code, out = run_cli(capsys, "prop2", "--m", "3", "--format", "json")
+    report = json.loads(out)
+    assert code == 1
+    assert report["all_passed"] is False
+    assert report["passed"] == report["total"] - 1 and not report["checks"][0]["pass"]
+
+    # one failing theorem1 case
+    def e7_fails(groups, convention):
+        return [r._replace(passed=False) if r.group == "E7" else r
+                for r in verify_all(groups, convention=convention)]
+
+    monkeypatch.setattr("spinchern.cli.verify_all", e7_fails)
+    code, out = run_cli(capsys, "theorem1", "--format", "json")
+    report = json.loads(out)
+    assert code == 1
+    assert report["all_passed"] is False
+    assert [c["group"] for c in report["cases"] if not c["passed"]] == ["E7"]
+    code, out = run_cli(capsys, "theorem1")
+    assert code == 1 and "all passed: False" in out
 
 
 def test_theorem1_all_groups(capsys):
@@ -395,6 +427,7 @@ def test_options_that_change_no_result_are_not_offered(argv, capsys):
          "argument --format: invalid choice: 'xml' (choose from 'json', 'md', 'plain')"),
         (("theorem1", "--group", "G2"),
          "argument --group: invalid choice: 'G2' (choose from 'all', 'F4', 'E6', 'E7', 'E8')"),
+        (("restrict", "--n", "12"), "the following arguments are required: expression"),
     ],
 )
 def test_argparse_errors_quote_a_short_value(argv, message, capsys):
@@ -621,6 +654,7 @@ def test_spawned_process_exit_codes():
         ("quillen", "--n", nines),
         ("restrict", "--n", "12", "--cutoff", nines, "lambda1"),
         ("quillen", "--n", most),
+        ("restrict", "--n", "12", "--cutoff", "-" + most, "lambda1"),
         ("prop2", "--m", most),
         ("prop2", "--m", "3.." + most),
         ("restrict", "--n", most, "lambda1"),

@@ -158,6 +158,12 @@ def test_sq_on_generator_matches_roots_oracle():
 def test_sq_generator_index_out_of_range():
     with pytest.raises(ValueError):
         sq_on_generator(1, 7, 6)
+    for j in (0, 7):
+        with pytest.raises(ValueError, match="out of range 1..6"):
+            GradedPolyF2.generator(j, 6)
+    for mon in ((0, 2), (2, 7)):
+        with pytest.raises(ValueError, match="outside 1..6"):
+            GradedPolyF2.from_monomials(6, [mon])
 
 
 @pytest.mark.parametrize("n", [6, 12, 40, 1024])
@@ -437,6 +443,9 @@ def test_binom_mod2_negative_top():
     for a in range(1, 8):
         for k in range(0, 8):
             assert binom_mod2(-a, k) == comb(a + k - 1, k) % 2
+    # binom(n, k) = 0 for k < 0, whatever the sign of n
+    for n in (-3, -1, 0, 5):
+        assert binom_mod2(n, -1) == binom_mod2(n, -4) == 0
 
 
 # ---- ideal generators ---------------------------------------------------------------
