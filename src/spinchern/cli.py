@@ -424,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def subcommand(name: str, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
+        p.set_defaults(parser=p)  # main's own errors print this subcommand's usage
         p.add_argument("--format", choices=("json", "md", "plain"), default="plain",
                        dest="fmt", help="report format (default: %(default)s)")
         p.add_argument("--out", default=None, help="write the report to this path")
@@ -468,16 +469,15 @@ def main(argv: list[str] | None = None) -> int:
     if digits > MAX_DIGITS:  # refused by its length: int() fails on it and argparse echoes it
         sys.stderr.write(f"error: a {digits}-digit number is over the {MAX_DIGITS}-digit limit\n")
         return USAGE_ERROR
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     if args.command == "restrict" and args.expression is None:
         # argparse takes a dash-led expression such as -3*lambda1 for an option
         if extra and not extra[0].startswith("--"):
-            parser.error("an expression that starts with '-' must follow '--', as in "
-                         f"restrict --n {args.n} -- {shown(extra[0])}")
-        parser.error("the following arguments are required: expression")
+            args.parser.error("an expression that starts with '-' must follow '--', as in "
+                              f"restrict --n {args.n} -- {shown(extra[0])}")
+        args.parser.error("the following arguments are required: expression")
     if extra:
-        parser.error(f"unrecognized arguments: {' '.join(map(shown, extra))}")
+        args.parser.error(f"unrecognized arguments: {' '.join(map(shown, extra))}")
     try:
         report = {"command": args.command, "tool_version": __version__, **args.run(args)}
     except (UsageError, OverflowError) as exc:

@@ -20,13 +20,13 @@ exponent of w_j sits in a ``width``-bit field at bit (J - j) * width, where
 J = min(n, d): no monomial of degree d has a factor w_j with j > d.  A
 product of monomials is an integer sum and a square is a doubling, and
 descending int order is the order of the sorted index tuples (w_2 * w_3^2
-is (2, 3, 3)), which is the print order.  ``GradedPolyF2.monomials``
-decodes the ints into those tuples, walking only the nonzero fields.
+is (2, 3, 3)), which is the print order.  Printing and ``monomials`` share
+one reader, which memoises the value (text or index tuple) of each chunk of
+``RENDER_CHUNK_FIELDS`` fields once per polynomial.
 
-Within one application of Sq^i the squares of generator powers are
-memoised, Sq^s(w_j^e) being the square of Sq^{s/2}(w_j^{e/2}) for even e
-and one Wu factor times the even power for odd e, and the Cartan formula
-runs over the distinct generators of each monomial, not over its factors.
+Within one application of Sq^i the squares Sq^s(w_j^e) are memoised, each
+with e > 1 by the Cartan formula on w_j * w_j^{e-1}, and the Cartan formula
+on a monomial runs over its distinct generators, not over its factors.
 
 The ideal (w_1) is stable under squares, so :func:`sq_bso` computes the
 quotient action: it builds each Wu piece packed in the square's own layout
@@ -37,13 +37,13 @@ that cuts the mod-2 cohomology of BSpin(n) out of that of BSO(n).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .spin_reps import quillen_h
 
 Monomial = tuple[int, ...]
 
-# Exponent fields per memoised piece of text when a polynomial is printed.
+# Exponent fields per memoised chunk when a polynomial is printed or decoded.
 RENDER_CHUNK_FIELDS = 4
 
 
@@ -60,46 +60,41 @@ def _layout(n: int, degree: int) -> tuple[int, int]:
     return degree.bit_length(), min(n, degree)
 
 
-def _decode(m: int, width: int, top: int) -> Monomial:
-    """The packed monomial ``m`` with fields w_1 .. w_top as a sorted index
-    tuple, read from its nonzero fields only, highest set bit (lowest j) first."""
-    out: list[int] = []
-    while m:
-        field = (m.bit_length() - 1) // width
-        low = field * width
-        out += [top - field] * (m >> low)
-        m &= (1 << low) - 1
-    return tuple(out)
+class _Chunks(dict):
+    """Memoised values of one chunk of exponent fields, w_first .. w_last:
+    ``render`` turns the chunk's nonzero fields ``(j, e)``, in order of j,
+    into its value, once per distinct chunk."""
 
-
-class _ChunkText(dict):
-    """Memoised text of one chunk of exponent fields, w_first .. w_last.
-
-    A chunk value maps to ``"*w3^2*w5"``: its factors, each with a leading
-    ``*``, so a monomial prints as the concatenation of its chunks minus the
-    first character.
-    """
-
-    def __init__(self, top: int, first: int, last: int, width: int) -> None:
+    def __init__(self, top: int, first: int, last: int, width: int, render: Callable) -> None:
         super().__init__()
-        self.first, self.last, self.width = first, last, width
+        self.render, self.field_mask = render, (1 << width) - 1
+        self.fields = [(j, (last - j) * width) for j in range(first, last + 1)]
         self.shift = (top - last) * width
         self.mask = (1 << (last - first + 1) * width) - 1
 
-    def __missing__(self, chunk: int) -> str:
-        mask = (1 << self.width) - 1
-        text = ""
-        for j in range(self.first, self.last + 1):
-            e = (chunk >> (self.last - j) * self.width) & mask
-            if e:
-                text += f"*w{j}" if e == 1 else f"*w{j}^{e}"
-        self[chunk] = text
-        return text
+    def __missing__(self, chunk: int):
+        mask = self.field_mask
+        fields = [(j, e) for j, at in self.fields if (e := chunk >> at & mask)]
+        value = self[chunk] = self.render(fields)
+        return value
 
-    def column(self, order: Iterable[int]) -> Iterator[str]:
-        """The text of this chunk in each packed monomial of ``order``."""
+    def column(self, order: Iterable[int]) -> Iterator:
+        """The value of this chunk in each packed monomial of ``order``."""
         shift, mask = self.shift, self.mask
         return map(self.__getitem__, (m >> shift & mask for m in order))
+
+
+def _text(fields: list[tuple[int, int]]) -> str:
+    """``"*w3^2*w5"``: each factor after a ``*``; a monomial drops its first."""
+    text = ""
+    for j, e in fields:
+        text += f"*w{j}" if e == 1 else f"*w{j}^{e}"
+    return text
+
+
+def _indices(fields: list[tuple[int, int]]) -> Monomial:
+    """``(3, 3, 5)``: each index as often as its exponent."""
+    return tuple(j for j, e in fields for _ in range(e))
 
 
 class GradedPolyF2(NamedTuple):
@@ -142,10 +137,19 @@ class GradedPolyF2(NamedTuple):
         terms = frozenset(sum(1 << (top - idx) * width for idx in mon) for mon in survivors)
         return cls(n, degree, terms)
 
+    def _read(self, order: Iterable[int], render: Callable) -> Iterator[tuple]:
+        """Each packed monomial of ``order`` as its chunks' ``render`` values."""
+        width, top = _layout(self.n, self.degree)
+        return zip(*(
+            _Chunks(top, j, min(j + RENDER_CHUNK_FIELDS - 1, top), width, render).column(order)
+            for j in range(1, top + 1, RENDER_CHUNK_FIELDS)
+        ))
+
     def monomials(self) -> frozenset[Monomial]:
         """The terms as sorted generator-index tuples: w_2 * w_3^2 is (2, 3, 3)."""
-        width, top = _layout(self.n, self.degree)
-        return frozenset(_decode(m, width, top) for m in self.terms)
+        if not self.degree:
+            return frozenset({()} if self.terms else ())  # the only monomial of degree 0
+        return frozenset(sum(chunks, ()) for chunks in self._read(self.terms, _indices))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -155,13 +159,8 @@ class GradedPolyF2(NamedTuple):
             return "0"
         if not self.degree:
             return "1"  # the only monomial of degree 0
-        width, top = _layout(self.n, self.degree)
         order = sorted(self.terms, reverse=True)  # ascending index tuples
-        columns = [
-            _ChunkText(top, j, min(j + RENDER_CHUNK_FIELDS - 1, top), width).column(order)
-            for j in range(1, top + 1, RENDER_CHUNK_FIELDS)
-        ]
-        return " + ".join("".join(chunks)[1:] for chunks in zip(*columns))
+        return " + ".join("".join(chunks)[1:] for chunks in self._read(order, _text))
 
 
 def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
@@ -172,8 +171,9 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
 
     A square of a degree-d polynomial is zero or homogeneous of degree
     d + i, and its fields are as wide as that degree needs, so no field
-    overflows: a product is an integer sum and a square is ``2 * m``.  Each
-    Wu piece Sq^s(w_j) is packed straight into that layout.
+    overflows and a product is an integer sum.  Each Wu piece Sq^s(w_j) is
+    packed straight into that layout, and each Sq^s(w_j^e) with e > 1 is
+    the Cartan sum over w_j * w_j^{e-1}.
     """
     if i < 0:
         raise ValueError("Sq index must be nonnegative")
@@ -199,9 +199,6 @@ def sq_bso(i: int, p: GradedPolyF2) -> GradedPolyF2:
                     continue  # w_k = 0 for k > n, and w_1 = 0
                 g = 1 << (top - hi) * width
                 out.add(g + (1 << (top - lo) * width) if lo else g)
-        elif e % 2 == 0:
-            if s % 2 == 0:  # Sq(x^2) = (Sq x)^2 mod 2
-                out = {2 * m for m in power(s // 2, j, e // 2)}
         else:  # w_j^e = w_j * w_j^(e-1), by Cartan
             for t in range(max(0, s - j * (e - 1)), min(j, s) + 1):
                 rest = power(s - t, j, e - 1)

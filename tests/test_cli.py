@@ -11,6 +11,7 @@ import io
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -434,7 +435,19 @@ def test_argparse_errors_quote_a_short_value(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+    # the subcommand's own usage, also for the errors main raises itself
+    assert err.startswith(f"usage: spinchern {argv[0]} "), err
+
+
+def test_version_matches_pyproject(capsys):
+    # a regex, not tomllib, so the test runs on Python 3.10 too
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    assert spinchern.__version__ == re.search(r'^version = "([^"]+)"', text, re.M).group(1)
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0 and capsys.readouterr().out == f"{spinchern.__version__}\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from functools import lru_cache
 from math import comb
 from typing import Iterable
@@ -306,11 +307,20 @@ def _sorted_xor(monomials: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
     return out
 
 
+def _monomial_text(mon: tuple[int, ...]) -> str:
+    """A sorted index tuple as printed text: (2, 3, 3) is w2*w3^2."""
+    return "*".join(f"w{j}" if e == 1 else f"w{j}^{e}" for j, e in Counter(mon).items())
+
+
 @pytest.mark.parametrize("n", [17, 1024])
 def test_monomials_round_trip_through_from_monomials(n):
-    # at n = 1024 the degree-65 layout has 7-bit fields for w_1 .. w_65 only
+    # at n = 1024 the degree-65 layout has 7-bit fields for w_1 .. w_65 only;
+    # both layouts end in a partial chunk (J = 17 and J = 65), read alike by
+    # the printer and by monomials()
     for theta in j_ideal_generators(n, 65):
         assert GradedPolyF2.from_monomials(n, theta.monomials()) == theta, poly_degree(theta)
+        text = " + ".join(map(_monomial_text, sorted(theta.monomials())))
+        assert str(theta) == text, poly_degree(theta)
 
 
 def test_from_monomials_is_canonical_after_cancellation():
