@@ -19,7 +19,8 @@ nor the odd-n lambda convention (it moves the weights 0 and +-2) changes.
 
 Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error,
 an input over one of the ``MAX_*`` budgets (estimated from closed forms
-before any work), or a report that cannot be written (``--out`` or stdout).
+before any work), or a report that cannot be written: an unwritable
+``--out`` path (the empty one too), a closed stdout or a failing write.
 Identical inputs produce byte-identical reports.
 """
 
@@ -193,29 +194,26 @@ def run_theorem1(groups: Sequence[str], convention: str) -> dict:
     }
 
 
-def run_quillen(n_lo: int, n_hi: int, full_j: bool, generators: bool) -> dict:
-    """The Quillen table rows for n_lo..n_hi.  With ``generators`` each row
-    also carries the ideal generator polynomials up to degree
-    ``DEFAULT_J_POLY_LIMIT`` (every degree under ``full_j``); md and plain
-    reports print only their degrees, so they expand none, and only json
-    reports meet the ``--full-j`` budget."""
+def run_quillen(n_lo: int, n_hi: int, max_degree: int | None) -> dict:
+    """The Quillen table rows for n_lo..n_hi.  Each row carries the ideal
+    generator polynomials of degree at most ``max_degree`` (every degree for
+    ``None``, the one limit that meets the ``--full-j`` budget) and whether
+    that limit left some out.  md and plain reports print neither, so they
+    pass 0 and expand none."""
     if not 6 <= n_lo <= n_hi <= MAX_N:
         raise UsageError(f"n range must sit inside 6..{MAX_N}, got {shown(n_lo)}..{shown(n_hi)}")
     if n_hi - n_lo + 1 > MAX_QUILLEN_ROWS:
         raise UsageError(f"{n_hi - n_lo + 1} rows requested; the budget is {MAX_QUILLEN_ROWS}")
-    if generators and full_j and 2 ** (quillen_h(n_hi).h - 1) + 1 > MAX_FULL_J_DEGREE:
+    if max_degree is None and j_degrees_expected(quillen_h(n_hi).h)[-1] > MAX_FULL_J_DEGREE:
         raise UsageError(f"--full-j stops at degree {MAX_FULL_J_DEGREE} (n <= 20), got n = {n_hi}")
-    max_degree = None if full_j else DEFAULT_J_POLY_LIMIT
     rows = []
     for n in range(n_lo, n_hi + 1):
         info = quillen_h(n)
-        row = {**info._asdict(), "m": n // 2, "deg_z": info.deg_z,
-               "j_degrees": j_degrees_expected(info.h)}
-        if generators:
-            gens = j_ideal_generators(n, max_degree)
-            row["generators"] = [str(g) for g in gens]
-            row["generators_truncated"] = len(gens) < info.h
-        rows.append(row)
+        gens = () if max_degree == 0 else j_ideal_generators(n, max_degree)
+        rows.append({**info._asdict(), "m": n // 2, "deg_z": info.deg_z,
+                     "j_degrees": j_degrees_expected(info.h),
+                     "generators": [str(g) for g in gens],
+                     "generators_truncated": len(gens) < info.h})
     return {
         "rows": rows,
         "discrepancies": sum(1 for r in rows if r["note"]),
@@ -447,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="in json reports, expand ideal generator polynomials of every "
                         "degree (n <= 20); md and plain reports expand none")
     p.set_defaults(run=lambda args: run_quillen(
-        *_parse_range(args.n, "n"), args.full_j, args.fmt == "json"))
+        *_parse_range(args.n, "n"),
+        0 if args.fmt != "json" else None if args.full_j else DEFAULT_J_POLY_LIMIT))
 
     p = subcommand("restrict", "restrict an expression to the circle")
     p.add_argument("--n", type=int, required=True)
@@ -465,34 +464,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    digits = max((len(run) for arg in argv for run in re.findall(r"\d+", arg)), default=0)
-    if digits > MAX_DIGITS:  # refused by its length: int() fails on it and argparse echoes it
-        sys.stderr.write(f"error: a {digits}-digit number is over the {MAX_DIGITS}-digit limit\n")
-        return USAGE_ERROR
-    args, extra = build_parser().parse_known_args(argv)
-    if args.command == "restrict" and args.expression is None:
-        # argparse takes a dash-led expression such as -3*lambda1 for an option
-        if extra and not extra[0].startswith("--"):
-            args.parser.error("an expression that starts with '-' must follow '--', as in "
-                              f"restrict --n {args.n} -- {shown(extra[0])}")
-        args.parser.error("the following arguments are required: expression")
-    if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(map(shown, extra))}")
     try:
+        digits = max((len(run) for arg in argv for run in re.findall(r"\d+", arg)), default=0)
+        if digits > MAX_DIGITS:  # refused by its length: int() fails on it and argparse echoes it
+            raise UsageError(f"a {digits}-digit number is over the {MAX_DIGITS}-digit limit")
+        args, extra = build_parser().parse_known_args(argv)
+        if args.command == "restrict" and args.expression is None:
+            # argparse takes a dash-led expression such as -3*lambda1 for an option
+            if extra and not extra[0].startswith("--"):
+                args.parser.error("an expression that starts with '-' must follow '--', as in "
+                                  f"restrict --n {args.n} -- {shown(extra[0])}")
+            args.parser.error("the following arguments are required: expression")
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(map(shown, extra))}")
         report = {"command": args.command, "tool_version": __version__, **args.run(args)}
-    except (UsageError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    text = _RENDERERS[args.fmt](report)
-    try:
-        if args.out:
+        text = _RENDERERS[args.fmt](report)
+        if args.out is not None:
             with open(args.out, "w") as fh:
                 fh.write(text)
+        elif sys.stdout is None:
+            raise OSError("stdout is closed")
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
-    except OSError as exc:
+    except (UsageError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return MISMATCH if report.get("all_passed") is False else 0

@@ -45,8 +45,8 @@ class ExceptionalCase(NamedTuple):
     """One exceptional group with its spin restriction data.
 
     ``top_degree`` is the cohomological degree of the asserted top class
-    (16, 32, 64, 128), i.e. twice the u-exponent for a Chern-kind case and
-    exactly twice it for the SW kind as well since w_{2k} reads off u^k.
+    (16, 32, 64, 128): twice its u-exponent for both kinds, since w_{2k}
+    and c_k both sit at u^k.
     """
 
     group: str

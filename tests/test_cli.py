@@ -627,6 +627,39 @@ def test_stdout_write_error_is_usage_error():
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_closed_stdout_is_usage_error(capsys, monkeypatch):
+    # Python sets sys.stdout to None when it starts with fd 1 closed
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", None)
+        code = main(["theorem1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+def test_spawned_process_with_closed_stdout_exits_2():
+    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinchern", "theorem1"],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1  # no traceback
+
+
+def test_empty_out_path_is_usage_error(capsys):
+    # an empty path is one that cannot be written, not a request for stdout
+    code = main(["prop2", "--m", "3..3", "--out", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_quillen_json_schema(capsys):
     _, out = run_cli(capsys, "quillen", "--n", "9..12", "--format", "json")
     data = json.loads(out)
