@@ -120,9 +120,8 @@ def _check_chern_budget(weights: dict[int, int], cutoff: int) -> None:
     The widest printed integer is a Chern coefficient or a multiplicity.
     """
     if cutoff + 1 > MAX_SERIES_TERMS:
-        raise UsageError(
-            f"a {cutoff.bit_length()}-bit cutoff is over the {MAX_SERIES_TERMS}-coefficient budget"
-        )
+        raise UsageError(f"cutoff {shown(cutoff)} is over the {MAX_SERIES_TERMS}-coefficient "
+                         f"budget: it needs {shown(cutoff + 1)}")
     bits, products = _chern_bounds(weights, cutoff)
     bits = max(bits, max((abs(a) for a in weights.values()), default=0).bit_length())
     if (
@@ -198,8 +197,9 @@ def run_quillen(n_lo: int, n_hi: int, max_degree: int | None) -> dict:
     """The Quillen table rows for n_lo..n_hi.  Each row carries the ideal
     generator polynomials of degree at most ``max_degree`` (every degree for
     ``None``, the one limit that meets the ``--full-j`` budget) and whether
-    that limit left some out.  md and plain reports print neither, so they
-    pass 0 and expand none."""
+    that limit left some out.  Every row takes them from
+    :func:`j_ideal_generators`, which counts them from their degrees alone;
+    md and plain reports print none, so they pass 0 and no square is taken."""
     if not 6 <= n_lo <= n_hi <= MAX_N:
         raise UsageError(f"n range must sit inside 6..{MAX_N}, got {shown(n_lo)}..{shown(n_hi)}")
     if n_hi - n_lo + 1 > MAX_QUILLEN_ROWS:
@@ -209,7 +209,7 @@ def run_quillen(n_lo: int, n_hi: int, max_degree: int | None) -> dict:
     rows = []
     for n in range(n_lo, n_hi + 1):
         info = quillen_h(n)
-        gens = () if max_degree == 0 else j_ideal_generators(n, max_degree)
+        gens = j_ideal_generators(n, max_degree)
         rows.append({**info._asdict(), "m": n // 2, "deg_z": info.deg_z,
                      "j_degrees": j_degrees_expected(info.h),
                      "generators": [str(g) for g in gens],

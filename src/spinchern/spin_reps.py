@@ -144,10 +144,6 @@ class RepExpr(NamedTuple):
         items.sort(key=lambda sc: (_SORT_ORDER[sc[0].kind], sc[0].index))
         return cls(tuple(items))
 
-    @classmethod
-    def single(cls, sym: RepSymbol, mult: int = 1) -> RepExpr:
-        return cls.from_dict({sym: mult})
-
     def __str__(self) -> str:
         return signed_sum((c, "" if sym == triv(1) else str(sym)) for sym, c in self.terms)
 
@@ -162,12 +158,13 @@ def shown(value: int | str) -> str:
     >>> shown("lambda1"), shown(-12), shown("x" * 50), shown(-(10**60))
     ("'lambda1'", '-12', 'a 50-character string', 'a 61-digit number')
     """
-    text = str(value)
-    if len(text) <= MAX_SHOWN:
-        return repr(value)
     if isinstance(value, int):
-        return f"a {len(text.lstrip('-'))}-digit number"
-    return f"a {len(text)}-character string"
+        from decimal import Decimal  # counts digits past the int-to-str digit limit
+
+        digits = Decimal(value).adjusted() + 1
+        return repr(value) if digits + (value < 0) <= MAX_SHOWN else f"a {digits}-digit number"
+    text = str(value)
+    return repr(value) if len(text) <= MAX_SHOWN else f"a {len(text)}-character string"
 
 
 _TERM_RE = re.compile(
@@ -248,10 +245,8 @@ def circle_weights(
     is 2^{m-1} (z + z^-1) and either half-spinor 2^{m-2} (z + z^-1).
     """
     _check_convention(convention)
-    if isinstance(expr, RepSymbol):
-        expr = RepExpr.single(expr)
     out: dict[int, int] = {}
-    for sym, mult in expr.terms:
+    for sym, mult in ((expr, 1),) if isinstance(expr, RepSymbol) else expr.terms:
         _check_symbol(g, sym)
         if sym.kind == "triv":
             weights = {0: sym.index}

@@ -240,14 +240,15 @@ def j_ideal_generators(n: int, max_degree: int | None = None) -> tuple[GradedPol
     """The ideal generators theta_1 = w_2, theta_2 = Sq^1 w_2, ... of degree
     at most ``max_degree`` (all h of them for ``None``; none below 2).
 
-    theta_{r+1} = Sq^{2^{r-1}}(theta_r), computed with w_1 = 0; the degrees
-    come out as 2, 3, 5, ..., 2^{h-1} + 1 (see :func:`j_degrees_expected`),
-    and no square is taken past the last generator returned.
+    theta_{r+1} = Sq^{2^{r-1}}(theta_r), computed with w_1 = 0.  theta_r has
+    degree 2^{r-1} + 1 (see :func:`j_degrees_expected`), so it fits when
+    r <= (max_degree - 1).bit_length(); no square is taken past the last
+    generator returned.
     """
     if n < 6:
         raise ValueError(f"j_ideal_generators requires n >= 6, got {n}")
-    degrees = j_degrees_expected(quillen_h(n).h)
-    count = sum(1 for d in degrees if max_degree is None or d <= max_degree)
+    h = quillen_h(n).h
+    count = h if max_degree is None else min(h, max(max_degree - 1, 0).bit_length())
     gens = [GradedPolyF2.generator(2, n)] if count else []
     for r in range(1, count):
         gens.append(sq_bso(2 ** (r - 1), gens[-1]))

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import oracles
 import spinchern
 from spinchern.char_classes import TruncatedPoly, total_chern
-from spinchern.cli import _chern_bounds, main, verify_all
+from spinchern.cli import _chern_bounds, main, run_quillen, verify_all
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -159,6 +159,13 @@ def test_md_and_plain_quillen_take_no_square(fmt, capsys, monkeypatch):
     assert out == run_cli(capsys, "quillen", "--n", "6..21", "--format", fmt)[1]
 
 
+def test_md_and_plain_rows_carry_no_generator():
+    # md and plain pass max_degree 0, which every h >= 1 row truncates to none
+    rows = run_quillen(897, 1024, 0)["rows"]
+    assert len(rows) == 128
+    assert all(r["generators"] == [] and r["generators_truncated"] is True for r in rows)
+
+
 def test_quillen_below_6_is_usage_error(capsys):
     assert main(["quillen", "--n", "5"]) == 2
 
@@ -259,6 +266,20 @@ def test_unallocatable_cutoff_is_usage_error(argv, capsys):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cutoff_over_the_series_budget_is_named(capsys):
+    assert main(["restrict", "--n", "12", "--cutoff", "262144", "lambda1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cutoff 262144 is over the 262144-coefficient budget: it needs 262145\n"
+    )
+
+
+def test_4300_digit_cutoff_is_one_short_error_line(capsys):
+    # cutoff + 1 = 10^4300 has more digits than Python converts to str
+    assert main(["restrict", "--n", "12", "--cutoff", "9" * 4300, "lambda1"]) == 2
+    assert capsys.readouterr().err == ("error: cutoff a 4300-digit number is over the "
+                                       "262144-coefficient budget: it needs a 4301-digit number\n")
 
 
 @pytest.mark.parametrize(

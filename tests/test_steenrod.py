@@ -553,6 +553,15 @@ def test_max_degree_edges():
     assert j_ideal_generators(9, max_degree=10**6) == j_ideal_generators(9)
 
 
+@pytest.mark.parametrize("n", [6, 7, 9, 10, 11, 16, 17, 1024])
+def test_generator_count_at_every_degree_boundary(n):
+    # theta_r has degree 2^{r-1} + 1, so each d on either side of one is a
+    # boundary of the count, and n = 6, 7 hold fewer generators than d allows
+    expected = j_degrees_expected(quillen_h(n).h)
+    for d in (-5, 0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 16, 17, 18, 32, 33, 34, 64, 65, 66):
+        assert len(j_ideal_generators(n, d)) == sum(1 for e in expected if e <= d), d
+
+
 @pytest.mark.parametrize(
     "n, counts, digest",
     [
