@@ -38,16 +38,11 @@ from .char_classes import TruncatedPoly, is_palindromic, mod2, total_chern, tota
 from .exceptional import GROUP_ORDER, verify_all
 from .spin_reps import (
     CONVENTIONS,
-    DELTA,
-    DELTA_MINUS,
-    DELTA_PLUS,
     PAPER_LITERAL,
     VECTOR_REP,
-    RepSymbol,
     SpinGroup,
     circle_weights,
     format_character,
-    lam,
     parse_expr,
     quillen_h,
     shown,
@@ -164,8 +159,7 @@ def run_prop2(m_lo: int, m_hi: int) -> dict:
     for m in range(m_lo, m_hi + 1):
         for n in (2 * m, 2 * m + 1):
             g = SpinGroup(n)
-            symbols: list[RepSymbol] = [lam(i) for i in range(1, g.max_lambda_index() + 1)]
-            symbols += [DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA]
+            symbols = g.generators()
             weights = [circle_weights(g, sym, PAPER_LITERAL) for sym in symbols]
             cut = 2 * sum(weights[-1].values())
             for sym, w in zip(symbols, weights):

@@ -198,13 +198,14 @@ def verify_case(case: ExceptionalCase, convention: str = VECTOR_REP) -> Verifica
     sw_ok = True
     if case.class_kind == SW_KIND:
         chern_top_exp = case.top_degree  # c_{top_degree} sits at u^{top_degree}
+        chern_top = chern_top_exp in chern_f2.terms
         chern_shape_ok = chern_f2.terms == {0: 1, chern_top_exp: 1}
-        chern_membership = indecomposable_in_image(chern_top_exp, h)
+        chern_membership = indecomposable_in_image(chern_top_exp, h) if chern_top else NOT_IN_IMAGE
         square_ok = complexification_check(weights, cutoff)
         sw_ok = square_ok and chern_shape_ok and chern_membership == DECOMPOSABLE
         complexified = {
             "total_class_str": str(chern_f2),
-            "top_class": u_text(chern_top_exp),
+            "top_class": u_text(chern_top_exp) if chern_top else "0",
             "shape": chern_shape_ok,
             "indecomposability": chern_membership,
         }

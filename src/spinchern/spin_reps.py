@@ -63,6 +63,11 @@ class SpinGroup(NamedTuple("SpinGroup", [("n", int)])):
         """Largest lambda index appearing in the polynomial ring presentation."""
         return self.m - 2 if self.is_even else self.m - 1
 
+    def generators(self) -> list[RepSymbol]:
+        """lambda_1..lambda_k, then Delta+ and Delta- (even n) or Delta (odd n)."""
+        lams = [lam(i) for i in range(1, self.max_lambda_index() + 1)]
+        return lams + ([DELTA_PLUS, DELTA_MINUS] if self.is_even else [DELTA])
+
     def __str__(self) -> str:
         return f"Spin({self.n})"
 

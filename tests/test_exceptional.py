@@ -292,6 +292,15 @@ def test_failing_case_reports_witness():
     assert report.notes
 
 
+def test_complexified_witness_reads_its_own_class():
+    # lambda1 alone has total classes 1, so neither top class is there
+    report = verify_case(get_case("F4")._replace(restriction=RepExpr.from_dict({lam(1): 1})))
+    assert not report.passed
+    assert (report.top_class, report.verdicts["indecomposability"]) == ("0", NOT_IN_IMAGE)
+    assert report.complexified == {"total_class_str": "1", "top_class": "0", "shape": False,
+                                   "indecomposability": NOT_IN_IMAGE}
+
+
 def test_total_class_keys_are_text():
     # the record is the report entry itself: u-exponents are text keys, so a
     # sorted json dump orders a class of three or more terms as text

@@ -50,6 +50,11 @@ def test_m_and_parity():
     assert SpinGroup(9).m == 4 and not SpinGroup(9).is_even
 
 
+def test_generators_of_the_representation_ring():
+    assert SpinGroup(9).generators() == [lam(1), lam(2), lam(3), DELTA]
+    assert SpinGroup(10).generators() == [lam(1), lam(2), lam(3), DELTA_PLUS, DELTA_MINUS]
+
+
 def test_symbol_validity():
     g10, g9 = SpinGroup(10), SpinGroup(9)
     for g, sym in (
@@ -139,12 +144,6 @@ def test_spin_f1_closed_form_range():
         assert circle_weights(ge, DELTA_MINUS) == spinor(2 ** (m - 2))
 
 
-def generators(g: SpinGroup) -> list[RepSymbol]:
-    """The lambda and (half-)spinor generators of the representation ring."""
-    symbols = [lam(i) for i in range(1, g.max_lambda_index() + 1)]
-    return symbols + ([DELTA_PLUS, DELTA_MINUS] if g.is_even else [DELTA])
-
-
 def assert_circle_shape(weights: dict[int, int]) -> None:
     # every circle weight is 0, +-1 or +-2, and z^k and z^-k come in pairs
     assert set(weights) <= {-2, -1, 0, 1, 2}, weights
@@ -154,7 +153,7 @@ def assert_circle_shape(weights: dict[int, int]) -> None:
 def test_f1_characters_palindromic():
     for n in range(6, 41):
         g = SpinGroup(n)
-        for sym in generators(g):
+        for sym in g.generators():
             for convention in CONVENTIONS:
                 assert_circle_shape(circle_weights(g, sym, convention))
 
@@ -163,7 +162,7 @@ def test_f1_characters_palindromic():
 def signed_expressions(draw) -> tuple[SpinGroup, RepExpr]:
     g = SpinGroup(draw(st.integers(6, 40)))
     mults = st.integers(-3, 3)
-    terms = draw(st.dictionaries(st.sampled_from(generators(g) + [triv(1)]), mults, max_size=4))
+    terms = draw(st.dictionaries(st.sampled_from(g.generators() + [triv(1)]), mults, max_size=4))
     return g, RepExpr.from_dict(terms)
 
 
