@@ -485,7 +485,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return MISMATCH if report.get("all_passed") is False else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,11 @@
-"""The pinned CLI reports: each ``spinchern`` argv and the sha256 of its stdout.
+"""The pinned CLI reports and refusals of ``spinchern``.
 
-The tests run every pin, and so does CI on Python without pytest through
-``PYTHONPATH=src python tests/report_pins.py``, which names each report that
-differs and exits 1.  It imports only the standard library and ``spinchern``."""
+``THEOREM1_DIGESTS`` and ``REPORT_DIGESTS`` pin each report by its argv and
+the sha256 of its stdout; ``REFUSALS`` pins each argv the CLI must refuse by a
+text its one ``error:`` line holds.  The tests read these tables, and so does
+CI on Python without pytest through ``PYTHONPATH=src python
+tests/report_pins.py``, which names each argv that fails its pin and exits 1.
+It imports only the standard library and ``spinchern``."""
 
 import contextlib
 import hashlib
@@ -11,6 +14,7 @@ import shlex
 import sys
 
 from spinchern.cli import main
+from spinchern.spin_reps import MAX_SHOWN, shown
 
 # sha256 of theorem1 reports as printed before VerificationReport.to_dict was
 # built from the report's fields (now its NamedTuple _asdict); a report format
@@ -103,22 +107,102 @@ REPORT_DIGESTS = [
 ]
 
 
-def run(argv: tuple[str, ...]) -> tuple[int, str]:
-    """Run ``spinchern argv`` in-process: its exit code and its stdout's sha256."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+# argvs the CLI must refuse: exit 2 with one error line holding the text, no
+# traceback and under 400 bytes of stderr, whatever the length of the input.
+# main's own argument errors come from the subcommand's parser, which names
+# itself in that line and prints its own usage above it
+REFUSALS = [
+    # one usage error per subcommand
+    (("prop2", "--m", "2..2"), "m range must sit inside 3..16, got 2..2"),
+    (("theorem1", "--group", "G2"), "argument --group: invalid choice: 'G2'"),
+    (("quillen", "--n", "5"), "n range must sit inside 6..1024, got 5..5"),
+    (("restrict", "--n", "12", "--cutoff", "-1", "lambda1"), "cutoff must be positive, got -1"),
+    (("restrict", "--n", "12"),
+     "spinchern restrict: error: the following arguments are required: expression"),
+    (("prop2", "--m", "1..2"), "m range must sit inside 3..16, got 1..2"),
+    # a report that cannot be written: an empty --out path is not stdout
+    (("theorem1", "--out", ""), "error: [Errno 2] No such file or directory: ''"),
+    # a derived cutoff of over 4,300 digits, more than Python prints
+    (("restrict", "--n", "1024", "9" * 4250 + "*delta+"),
+     "cutoff a 4405-digit number is over the 262144-coefficient budget"),
+    # a 5,000-digit numeral, refused by its length and not echoed
+    (("restrict", "--n", "12", "9" * 5000 + "*lambda1"),
+     "a 5000-digit number is over the 4300-digit limit"),
+    (("quillen", "--n", "9" * 5000), "a 5000-digit number is over the 4300-digit limit"),
+    (("restrict", "--n", "12", "--cutoff", "9" * 5000, "lambda1"),
+     "a 5000-digit number is over the 4300-digit limit"),
+    # a value that an error message names by its length
+    (("quillen", "--n", "9" * 4300),
+     "n range must sit inside 6..1024, got a 4300-digit number..a 4300-digit number"),
+    (("restrict", "--n", "12", "--cutoff", "-" + "9" * 4300, "lambda1"),
+     "cutoff must be positive, got a 4300-digit number"),
+    (("prop2", "--m", "9" * 4300),
+     "m range must sit inside 3..16, got a 4300-digit number..a 4300-digit number"),
+    (("prop2", "--m", "3.." + "9" * 4300),
+     "m range must sit inside 3..16, got 3..a 4300-digit number"),
+    (("restrict", "--n", "9" * 4300, "lambda1"),
+     "n must sit inside 6..1024, got a 4300-digit number"),
+    (("restrict", "--n", "12", "lambda" + "9" * 4300),
+     "lambda index a 4300-digit number is outside the presentation range 1..4"),
+    (("restrict", "--n", "12", "x" * 5000), "cannot parse term a 5000-character string"),
+    # argparse's own errors, after the fixed usage text of up to four lines
+    (("restrict", "--n", "x" * 5000, "lambda1"),
+     "argument --n: invalid int value: a 5000-character string"),
+    (("restrict", "--n", "12", "--format", "x" * 5000, "lambda1"),
+     "argument --format: invalid choice: a 5000-character string"),
+    (("restrict", "--n", "12", "lambda1", "x" * 5000),
+     "unrecognized arguments: a 5000-character string"),
+    (("restrict", "--n", "12", "--cutoff", "x" * 5000, "lambda1"),
+     "argument --cutoff: invalid int value: a 5000-character string"),
+    (("theorem1", "--group", "x" * 5000),
+     "argument --group: invalid choice: a 5000-character string"),
+    (("x" * 5000,), "argument command: invalid choice: a 5000-character string"),
+]
+
+
+def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
+    """Run ``spinchern argv`` in-process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's refusals, --help and --version
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def matches(result: tuple[int, str, str], digest: str) -> bool:
+    """Whether a run's (code, stdout, stderr) is a report with this sha256."""
+    code, out, _ = result
+    return code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def refused(result: tuple[int, str, str], text: str) -> bool:
+    """Whether a run's (code, stdout, stderr) refuses it with this text."""
+    code, _, err = result
+    errors = [line for line in err.splitlines() if "error:" in line]
+    return (code == 2 and len(errors) == 1 and text in errors[0]
+            and "Traceback" not in err and len(err.encode()) < 400)
+
+
+def named(argv: tuple[str, ...]) -> str:
+    """``spinchern argv`` for a message, with each long value named by its length."""
+    return " ".join(["spinchern"] + [shlex.quote(arg) if len(arg) <= MAX_SHOWN else shown(arg)
+                                     for arg in argv])
 
 
 def check() -> int:
-    """Run every pin; name each report that differs, and return 1 if one does."""
+    """Run every pin and refusal; name each argv that fails, and return 1 if one does."""
     pins = [(("theorem1", *argv), digest) for argv, digest in THEOREM1_DIGESTS] + REPORT_DIGESTS
-    differ = [argv for argv, digest in pins if run(argv) != (0, digest)]
+    differ = [argv for argv, digest in pins if not matches(run(argv), digest)]
+    not_refused = [argv for argv, text in REFUSALS if not refused(run(argv), text)]
     for argv in differ:
-        print(f"differs from its pin: spinchern {shlex.join(argv)}", file=sys.stderr)
-    print(f"{len(pins) - len(differ)}/{len(pins)} pinned reports match")
-    return 1 if differ else 0
+        print(f"differs from its pin: {named(argv)}", file=sys.stderr)
+    for argv in not_refused:
+        print(f"not refused as pinned: {named(argv)}", file=sys.stderr)
+    print(f"{len(pins) - len(differ)}/{len(pins)} pinned reports match, "
+          f"{len(REFUSALS) - len(not_refused)}/{len(REFUSALS)} pinned refusals hold")
+    return 1 if differ or not_refused else 0
 
 
 if __name__ == "__main__":

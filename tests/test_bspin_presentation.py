@@ -9,7 +9,8 @@ graded piece of the ideal is spanned by the products mu * theta_r with mu a
 monomial; each product is a Python-int bit row over the monomial basis of
 its degree, and rows are reduced by XOR against pivots keyed by their
 leading bit.  Beyond that cutoff, the elimination tests check the first step
-of an all-degree proof: each theta_r of degree d <= n is linear in w_d.
+of an all-degree proof: each theta_r of degree d <= n is linear in w_d, and
+at n = 10 substituting for those w_d leaves Quillen's relation w7*w10.
 """
 
 from __future__ import annotations
@@ -91,6 +92,34 @@ def first_hilbert_mismatch(n: int, thetas: list[GradedPolyF2], top: int) -> int 
     return None
 
 
+def presentation(n: int, thetas) -> tuple[list[int], list[set[Monomial]]]:
+    """The w_i left, and the nonzero relations, once each theta_r in turn,
+    reduced by the eliminations before it, eliminates w_d (d its degree) if it
+    has w_d as a term.  No other monomial of degree d holds w_d, so such a
+    theta_r is w_d plus terms in lower w_i, and w_d = theta_r + w_d."""
+    rules: dict[int, set[Monomial]] = {}
+
+    def reduced(poly) -> set[Monomial]:
+        out: set[Monomial] = set()
+        for mon in poly:
+            d = next((i for i in mon if i in rules), None)
+            if d is None:
+                out ^= {mon}
+            else:  # mon = w_d * rest: replace w_d by its rule
+                k = mon.index(d)
+                out ^= reduced({tuple(sorted(mon[:k] + mon[k + 1:] + term)) for term in rules[d]})
+        return out
+
+    relations = []
+    for theta in thetas:
+        poly, d = reduced(theta.monomials()), theta.degree
+        if (d,) in poly:
+            rules[d] = poly - {(d,)}
+        elif poly:
+            relations.append(poly)
+    return [i for i in range(2, n + 1) if i not in rules], relations
+
+
 @pytest.mark.parametrize("n,top", [(6, 30), (7, 30), (8, 30), (9, 30), (10, 30), (12, 28)])
 def test_quotient_has_the_regular_sequence_hilbert_series(n, top):
     thetas = list(j_ideal_generators(n))
@@ -128,15 +157,26 @@ def test_theta_is_linear_in_the_generator_of_its_degree(n, top):
 
 @pytest.mark.parametrize("n", range(6, 10))
 def test_elimination_leaves_quillens_polynomial_ring(n):
-    # for n = 6..9 every theta_r has degree d_r <= n and is linear in w_{d_r}
-    # (above), and theta_r involves only w_i of lower degree besides it, so
+    # for n = 6..9 every theta_r has degree d_r <= n and eliminates w_{d_r}, so
     # eliminating w_2, w_3, w_5 (and w_9) in turn leaves, in every degree,
     # H*(BSpin(n); F2) = F2[w_i : 4 <= i <= n, i not in {5, 9}] tensor F2[z]
     thetas = j_ideal_generators(n)
-    degrees = [poly_degree(theta) for theta in thetas]
-    assert len(thetas) == quillen_h(n).h and max(degrees) <= n
-    kept = sorted(set(range(2, n + 1)) - set(degrees))
-    assert kept == [i for i in range(4, n + 1) if i not in (5, 9)]
+    assert len(thetas) == quillen_h(n).h
+    assert presentation(n, thetas) == ([i for i in range(4, n + 1) if i not in (5, 9)], [])
+
+
+def test_elimination_at_n10_leaves_quillens_relation():
+    # theta_1..theta_4 eliminate w2, w3, w5 and w9, and theta_5, of degree 17,
+    # reduces to w7*w10: H*(BSpin(10); F2) = F2[w4, w6, w7, w8, w10, z32]/(w7*w10)
+    thetas = list(j_ideal_generators(10))
+    assert [theta.degree for theta in thetas] == [2, 3, 5, 9, 17]
+    assert presentation(10, thetas) == ([4, 6, 7, 8, 10], [{(7, 10)}])
+    # negative control: flip w9 in theta_4 and square it again.  Its other six
+    # terms lie in (w2, w3, w5) and their Sq^8 in (theta_1..theta_4), so a flip
+    # of one of them would leave the result as it is
+    flipped = poly_sum(10, thetas[3], GradedPolyF2.generator(9, 10))
+    thetas[3:] = [flipped, sq_bso(8, flipped)]
+    assert presentation(10, thetas) == ([4, 6, 7, 8, 9, 10], [{(4, 4, 9)}])
 
 
 def test_hilbert_oracle_catches_a_flipped_monomial():

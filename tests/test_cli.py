@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import ast
-import contextlib
 import doctest
 import importlib
-import io
 import json
 import os
 import pkgutil
@@ -24,37 +22,39 @@ from hypothesis import strategies as st
 import oracles
 import report_pins
 import spinchern
+from report_pins import run
 from spinchern.char_classes import TruncatedPoly, total_chern
 from spinchern.cli import _chern_bounds, main, run_quillen, verify_all
 
 
-def run_cli(capsys, *argv: str) -> tuple[int, str]:
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, out
+def spawn(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python args`` in a fresh interpreter that imports the same
+    package as this process, installed or not."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
+    return subprocess.run([sys.executable, *args], text=True, env=env, **kwargs)
 
 
 # ---- exit code contract -----------------------------------------------------
 
 
-def test_prop2_small_range_passes(capsys):
-    code, out = run_cli(capsys, "prop2", "--m", "4..6")
+def test_prop2_small_range_passes():
+    code, out, _ = run(("prop2", "--m", "4..6"))
     assert code == 0
     assert "identities hold" in out
 
 
-def test_prop2_whole_range_passes(capsys):
+def test_prop2_whole_range_passes():
     # every accepted m; the spinor classes at m = 16 are cut at 2^16 and 2^17
-    code, out = run_cli(capsys, "prop2", "--m", "3..16", "--format", "json")
+    code, out, _ = run(("prop2", "--m", "3..16", "--format", "json"))
     report = json.loads(out)
     assert code == 0
     assert report["all_passed"]
     assert report["passed"] == report["total"] == 266
 
 
-def test_prop2_below_regime_is_usage_error(capsys):
-    code = main(["prop2", "--m", "2..2"])
-    assert code == 2
+def test_prop2_below_regime_is_usage_error():
+    # a range that reaches into the regime but starts below it
+    assert run(("prop2", "--m", "2..5"))[0] == 2
 
 
 def test_prop2_bad_range_syntax(capsys):
@@ -64,7 +64,7 @@ def test_prop2_bad_range_syntax(capsys):
     assert "cannot parse m range '3..4..5'" in capsys.readouterr().err
 
 
-def test_a_mismatch_exits_1_and_still_prints_the_report(capsys, monkeypatch):
+def test_a_mismatch_exits_1_and_still_prints_the_report(monkeypatch):
     # one wrong prop2 class: 1 + u where the first lambda class is 1
     calls = []
 
@@ -75,7 +75,7 @@ def test_a_mismatch_exits_1_and_still_prints_the_report(capsys, monkeypatch):
         return total_chern(weights, cutoff, ring)
 
     monkeypatch.setattr("spinchern.cli.total_chern", first_wrong)
-    code, out = run_cli(capsys, "prop2", "--m", "3", "--format", "json")
+    code, out, _ = run(("prop2", "--m", "3", "--format", "json"))
     report = json.loads(out)
     assert code == 1
     assert report["all_passed"] is False
@@ -87,51 +87,44 @@ def test_a_mismatch_exits_1_and_still_prints_the_report(capsys, monkeypatch):
                 for r in verify_all(groups, convention=convention)]
 
     monkeypatch.setattr("spinchern.cli.verify_all", e7_fails)
-    code, out = run_cli(capsys, "theorem1", "--format", "json")
+    code, out, _ = run(("theorem1", "--format", "json"))
     report = json.loads(out)
     assert code == 1
     assert report["all_passed"] is False
     assert [c["group"] for c in report["cases"] if not c["passed"]] == ["E7"]
-    code, out = run_cli(capsys, "theorem1")
+    code, out, _ = run(("theorem1",))
     assert code == 1 and "all passed: False" in out
 
 
-def test_theorem1_all_groups(capsys):
-    code, out = run_cli(capsys, "theorem1")
+def test_theorem1_all_groups():
+    code, out, _ = run(("theorem1",))
     assert code == 0
     for grp in ("F4", "E6", "E7", "E8"):
         assert grp in out
     assert "all passed: True" in out
 
 
-def test_theorem1_single_group(capsys):
-    code, out = run_cli(capsys, "theorem1", "--group", "E7")
+def test_theorem1_single_group():
+    code, out, _ = run(("theorem1", "--group", "E7"))
     assert code == 0
     assert "1 + u^32" in out
     assert "indecomposable" in out
     assert "F4" not in out
 
 
-def test_theorem1_group_choices(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["theorem1", "--help"])
-    assert exc.value.code == 0
-    assert "--group {all,F4,E6,E7,E8}" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        main(["theorem1", "--group", "G2"])
-    assert exc.value.code == 2
+def test_theorem1_group_choices():
+    code, out, _ = run(("theorem1", "--help"))
+    assert code == 0 and "--group {all,F4,E6,E7,E8}" in out
 
 
-def test_theorem1_paper_literal_flags_f4(capsys):
-    code, out = run_cli(
-        capsys, "theorem1", "--group", "F4", "--convention", "paper-literal"
-    )
+def test_theorem1_paper_literal_flags_f4():
+    code, out, _ = run(("theorem1", "--group", "F4", "--convention", "paper-literal"))
     assert code == 0
     assert "25" in out and "26" in out
 
 
-def test_quillen_single_n(capsys):
-    code, out = run_cli(capsys, "quillen", "--n", "9")
+def test_quillen_single_n():
+    code, out, _ = run(("quillen", "--n", "9"))
     assert code == 0
     assert "h=4" in out
     assert "deg_z=16" in out
@@ -139,15 +132,15 @@ def test_quillen_single_n(capsys):
     assert "note:" in out  # the tabulated-h discrepancy
 
 
-def test_quillen_n16(capsys):
-    code, out = run_cli(capsys, "quillen", "--n", "16")
+def test_quillen_n16():
+    code, out, _ = run(("quillen", "--n", "16"))
     assert code == 0
     assert "h=7" in out
     assert "[2, 3, 5, 9, 17, 33, 65]" in out
 
 
 @pytest.mark.parametrize("fmt", ["md", "plain"])
-def test_md_and_plain_quillen_take_no_square(fmt, capsys, monkeypatch):
+def test_md_and_plain_quillen_take_no_square(fmt, monkeypatch):
     # neither format prints a generator polynomial, so none is expanded, and
     # --full-j (refused past n = 20 for json) changes nothing
     def refuse(i, p):
@@ -155,10 +148,10 @@ def test_md_and_plain_quillen_take_no_square(fmt, capsys, monkeypatch):
 
     monkeypatch.setattr("spinchern.steenrod.sq_bso", refuse)
     start = time.perf_counter()
-    code, out = run_cli(capsys, "quillen", "--n", "6..21", "--full-j", "--format", fmt)
+    code, out, _ = run(("quillen", "--n", "6..21", "--full-j", "--format", fmt))
     assert code == 0 and "[2, 3, 5, 9, 17, 33, 65, 129, 257, 513]" in out
     assert time.perf_counter() - start < 1.0
-    assert out == run_cli(capsys, "quillen", "--n", "6..21", "--format", fmt)[1]
+    assert out == run(("quillen", "--n", "6..21", "--format", fmt))[1]
 
 
 def test_md_and_plain_rows_carry_no_generator():
@@ -168,33 +161,34 @@ def test_md_and_plain_rows_carry_no_generator():
     assert all(r["generators"] == [] and r["generators_truncated"] is True for r in rows)
 
 
-def test_quillen_below_6_is_usage_error(capsys):
-    assert main(["quillen", "--n", "5"]) == 2
+def test_quillen_below_6_is_usage_error():
+    # a range that reaches n = 6 but starts below it
+    assert run(("quillen", "--n", "5..8"))[0] == 2
 
 
-def test_restrict_e7_expression(capsys):
-    code, out = run_cli(capsys, "restrict", "--n", "12", "2*lambda1 + delta-")
+def test_restrict_e7_expression():
+    code, out, _ = run(("restrict", "--n", "12", "2*lambda1 + delta-"))
     assert code == 0
     assert "1 + u^32" in out
 
 
-def test_restrict_delta_spin9(capsys):
-    code, out = run_cli(capsys, "restrict", "--n", "9", "delta")
+def test_restrict_delta_spin9():
+    code, out, _ = run(("restrict", "--n", "9", "delta"))
     assert code == 0
     assert "8*z1 + 8*z1^-1" in out
     assert "1 + u^8" in out  # SW total
 
 
-def test_restrict_lambda_class_is_one(capsys):
-    code, out = run_cli(capsys, "restrict", "--n", "10", "lambda1", "--format", "json")
+def test_restrict_lambda_class_is_one():
+    code, out, _ = run(("restrict", "--n", "10", "lambda1", "--format", "json"))
     assert code == 0
     report = json.loads(out)
     assert report["total_chern_mod2"] == "1"
 
 
-def test_restrict_zero_characters(capsys):
+def test_restrict_zero_characters():
     for expression in ("lambda1 - lambda1", "triv:0"):
-        code, out = run_cli(capsys, "restrict", "--n", "12", expression, "--format", "json")
+        code, out, _ = run(("restrict", "--n", "12", expression, "--format", "json"))
         assert code == 0
         report = json.loads(out)
         assert report["character"] == "0" and report["dimension"] == 0, expression
@@ -202,49 +196,41 @@ def test_restrict_zero_characters(capsys):
         assert report["total_chern"] == {"0": 1} and not report["virtual"], expression
 
 
-def test_restrict_dash_expression_must_follow_double_dash(capsys):
+def test_restrict_dash_expression_must_follow_double_dash():
     # argparse takes a dash-led expression for an option; the error says so
-    with pytest.raises(SystemExit) as exc:
-        main(["restrict", "--n", "12", "-3*lambda1"])
-    assert exc.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "must follow '--'" in errors[0], errors
-    code, out = run_cli(capsys, "restrict", "--n", "12", "--", "-3*lambda1")
+    assert report_pins.refused(run(("restrict", "--n", "12", "-3*lambda1")), "must follow '--'")
+    code, out, _ = run(("restrict", "--n", "12", "--", "-3*lambda1"))
     assert code == 0
     assert "character: -3*z1^2 - 30 - 3*z1^-2\n" in out
     # a unit term prints as "-lambda1", and that text parses back
-    code, unit = run_cli(capsys, "restrict", "--n", "12", "--", "-lambda1")
+    code, unit, _ = run(("restrict", "--n", "12", "--", "-lambda1"))
     assert code == 0 and unit.startswith("Spin(12)  -lambda1\n")
-    assert unit == run_cli(capsys, "restrict", "--n", "12", "--", "-1*lambda1")[1]
+    assert unit == run(("restrict", "--n", "12", "--", "-1*lambda1"))[1]
 
 
-def test_restrict_bad_expression(capsys):
+def test_restrict_bad_expression():
     assert main(["restrict", "--n", "9", "nonsense(3)"]) == 2
 
 
-def test_restrict_symbol_invalid_for_parity(capsys):
+def test_restrict_symbol_invalid_for_parity():
     assert main(["restrict", "--n", "10", "delta"]) == 2
 
 
-def test_restrict_negative_cutoff_is_usage_error(capsys):
+def test_restrict_negative_cutoff_is_usage_error():
     assert main(["restrict", "--n", "9", "delta", "--cutoff", "-1"]) == 2
 
 
-def test_restrict_virtual_expression(capsys):
-    code, out = run_cli(
-        capsys, "restrict", "--n", "9", "delta - 16", "--format", "json"
-    )
+def test_restrict_virtual_expression():
+    code, out, _ = run(("restrict", "--n", "9", "delta - 16", "--format", "json"))
     assert code == 0
     report = json.loads(out)
     assert report["virtual"] is True
     assert report["negative_weights"] == {"0": 16}
 
 
-def test_restrict_virtual_with_moving_weights_on_both_sides(capsys):
-    code, out = run_cli(
-        capsys, "restrict", "--n", "12", "--cutoff", "64", "--format", "json",
-        "3*delta+ - lambda2",
-    )
+def test_restrict_virtual_with_moving_weights_on_both_sides():
+    code, out, _ = run(("restrict", "--n", "12", "--cutoff", "64", "--format", "json",
+                        "3*delta+ - lambda2"))
     assert code == 0
     report = json.loads(out)
     pos = {int(k): a for k, a in report["weights"].items()}
@@ -264,24 +250,22 @@ def test_restrict_virtual_with_moving_weights_on_both_sides(capsys):
         ("restrict", "--n", "9", "delta", "--cutoff", "99999999999999999999"),
     ],
 )
-def test_unallocatable_cutoff_is_usage_error(argv, capsys):
-    assert main(list(argv)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_unallocatable_cutoff_is_usage_error(argv):
+    code, _, err = run(argv)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_cutoff_over_the_series_budget_is_named(capsys):
-    assert main(["restrict", "--n", "12", "--cutoff", "262144", "lambda1"]) == 2
-    assert capsys.readouterr().err == (
-        "error: cutoff 262144 is over the 262144-coefficient budget: it needs 262145\n"
-    )
+def test_cutoff_over_the_series_budget_is_named():
+    code, _, err = run(("restrict", "--n", "12", "--cutoff", "262144", "lambda1"))
+    assert (code, err) == (
+        2, "error: cutoff 262144 is over the 262144-coefficient budget: it needs 262145\n")
 
 
-def test_4300_digit_cutoff_is_one_short_error_line(capsys):
+def test_4300_digit_cutoff_is_one_short_error_line():
     # cutoff + 1 = 10^4300 has more digits than Python converts to str
-    assert main(["restrict", "--n", "12", "--cutoff", "9" * 4300, "lambda1"]) == 2
-    assert capsys.readouterr().err == ("error: cutoff a 4300-digit number is over the "
-                                       "262144-coefficient budget: it needs a 4301-digit number\n")
+    code, _, err = run(("restrict", "--n", "12", "--cutoff", "9" * 4300, "lambda1"))
+    assert (code, err) == (2, "error: cutoff a 4300-digit number is over the 262144-coefficient "
+                              "budget: it needs a 4301-digit number\n")
 
 
 @pytest.mark.parametrize(
@@ -305,22 +289,21 @@ def test_4300_digit_cutoff_is_one_short_error_line(capsys):
         ("quillen", "--n", "6..21", "--full-j", "--format", "json"),
     ],
 )
-def test_over_budget_input_is_refused_before_work(argv, capsys):
+def test_over_budget_input_is_refused_before_work(argv):
     start = time.perf_counter()
-    assert main(list(argv)) == 2
+    code, _, err = run(argv)
     assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_budgets_admit_the_largest_documented_runs(capsys):
+def test_budgets_admit_the_largest_documented_runs():
     # the benchmark's costliest restrict item, README's quillen range and a
     # --full-j range; prop2 --m 16..16 runs in the test below
     argv = ("restrict", "--n", "17", "--cutoff", "512", "--convention", "vector-rep",
             "--format", "json", "3*lambda6 + 3*lambda7 - 3*delta")
-    assert run_cli(capsys, *argv)[0] == 0
-    assert run_cli(capsys, "quillen", "--n", "6..20", "--format", "md")[0] == 0
-    assert run_cli(capsys, "quillen", "--n", "6..12", "--full-j")[0] == 0
+    assert run(argv)[0] == 0
+    assert run(("quillen", "--n", "6..20", "--format", "md"))[0] == 0
+    assert run(("quillen", "--n", "6..12", "--full-j"))[0] == 0
 
 
 @given(
@@ -399,7 +382,7 @@ def test_readme_example_prints_its_comments(capsys):
     assert namespace["weights"] == ast.literal_eval(weights_line.split("# ", 1)[1])
 
 
-def test_cli_never_expands_full_torus_characters(capsys):
+def test_cli_never_expands_full_torus_characters():
     # circle characters come from the closed forms; the T^m expansion and its
     # Laurent algebra live in tests/oracles.py only (at m = 16 the expansion
     # would not fit in memory), and so does the full-ring Wu formula, since
@@ -417,13 +400,13 @@ def test_cli_never_expands_full_torus_characters(capsys):
             else:
                 continue
             assert not ORACLE_NAMES & bound, (module.__name__, bound)
-    code, out = run_cli(capsys, "prop2", "--m", "16..16")
+    code, out, _ = run(("prop2", "--m", "16..16"))
     assert code == 0
     assert "32/32 identities hold" in out
     for convention in ("paper-literal", "vector-rep"):
-        assert run_cli(capsys, "theorem1", "--convention", convention)[0] == 0
+        assert run(("theorem1", "--convention", convention))[0] == 0
     argv = ("restrict", "--n", "17", "--cutoff", "64", "3*delta + lambda1 - 2*lambda7")
-    assert run_cli(capsys, *argv)[0] == 0
+    assert run(argv)[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -436,11 +419,9 @@ def test_cli_never_expands_full_torus_characters(capsys):
         ("theorem1", "--cutoff", "300"),
     ],
 )
-def test_options_that_change_no_result_are_not_offered(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(map(repr, argv[1:]))}" in capsys.readouterr().err
+def test_options_that_change_no_result_are_not_offered(argv):
+    text = f"unrecognized arguments: {' '.join(map(repr, argv[1:]))}"
+    assert report_pins.refused(run(argv), text)
 
 
 @pytest.mark.parametrize(
@@ -449,42 +430,37 @@ def test_options_that_change_no_result_are_not_offered(argv, capsys):
         (("restrict", "--n", "twelve", "lambda1"), "argument --n: invalid int value: 'twelve'"),
         (("restrict", "--n", "12", "--format", "xml", "lambda1"),
          "argument --format: invalid choice: 'xml' (choose from 'json', 'md', 'plain')"),
-        (("theorem1", "--group", "G2"),
+        # two pinned refusals, here with their whole error line and usage
+        (report_pins.REFUSALS[1][0],
          "argument --group: invalid choice: 'G2' (choose from 'all', 'F4', 'E6', 'E7', 'E8')"),
-        (("restrict", "--n", "12"), "the following arguments are required: expression"),
+        (report_pins.REFUSALS[4][0], "the following arguments are required: expression"),
     ],
 )
-def test_argparse_errors_quote_a_short_value(argv, message, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
+def test_argparse_errors_quote_a_short_value(argv, message):
+    code, _, err = run(argv)
+    assert code == 2
     assert err.splitlines()[-1].endswith(f"error: {message}")
     # the subcommand's own usage, also for the errors main raises itself
     assert err.startswith(f"usage: spinchern {argv[0]} "), err
 
 
-def test_version_matches_pyproject(capsys):
+def test_version_matches_pyproject():
     # a regex, not tomllib, so the test runs on Python 3.10 too
     text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
     assert spinchern.__version__ == re.search(r'^version = "([^"]+)"', text, re.M).group(1)
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0 and capsys.readouterr().out == f"{spinchern.__version__}\n"
+    assert run(("--version",))[:2] == (0, f"{spinchern.__version__}\n")
 
 
 def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    assert run(("frobnicate",))[0] == 2
 
 
 # ---- determinism ----------------------------------------------------------------
 
 
-def test_json_reports_are_byte_identical(capsys):
-    _, first = run_cli(capsys, "theorem1", "--format", "json")
-    _, second = run_cli(capsys, "theorem1", "--format", "json")
+def test_json_reports_are_byte_identical():
+    _, first, _ = run(("theorem1", "--format", "json"))
+    _, second, _ = run(("theorem1", "--format", "json"))
     assert first == second
     report = json.loads(first)
     assert report["all_passed"] is True
@@ -494,22 +470,45 @@ def test_json_reports_are_byte_identical(capsys):
 
 @pytest.mark.parametrize("argv,digest", report_pins.THEOREM1_DIGESTS)
 def test_theorem1_reports_are_pinned(argv, digest):
-    assert report_pins.run(("theorem1", *argv)) == (0, digest)
+    assert report_pins.matches(run(("theorem1", *argv)), digest)
 
 
 @pytest.mark.parametrize("argv,digest", report_pins.REPORT_DIGESTS)
 def test_reports_are_pinned(argv, digest):
-    assert report_pins.run(argv) == (0, digest)
+    assert report_pins.matches(run(argv), digest)
+
+
+@pytest.mark.parametrize("argv,text", report_pins.REFUSALS,
+                         ids=[report_pins.named(argv) for argv, _ in report_pins.REFUSALS])
+def test_refusals_are_pinned(argv, text):
+    result = run(argv)
+    assert report_pins.refused(result, text), result[2][:400]
 
 
 def test_the_pin_checker_names_a_report_that_differs(capsys, monkeypatch):
     argv, digest = report_pins.REPORT_DIGESTS[2]
     monkeypatch.setattr(report_pins, "THEOREM1_DIGESTS", [])
     monkeypatch.setattr(report_pins, "REPORT_DIGESTS", [(argv, digest), (argv, "0" * 64)])
+    monkeypatch.setattr(report_pins, "REFUSALS", [])
     assert report_pins.check() == 1
     out, err = capsys.readouterr()
-    assert out == "1/2 pinned reports match\n"
+    assert out == "1/2 pinned reports match, 0/0 pinned refusals hold\n"
     assert err == "differs from its pin: spinchern prop2 --m 3..12 --format plain\n"
+
+
+def test_the_pin_checker_names_a_refusal_that_fails(capsys, monkeypatch):
+    # a pinned refusal holds; a report that exits 0 and a refusal with
+    # another text fail theirs
+    (argv, text), (other, _) = report_pins.REFUSALS[:2]
+    monkeypatch.setattr(report_pins, "THEOREM1_DIGESTS", [])
+    monkeypatch.setattr(report_pins, "REPORT_DIGESTS", [])
+    monkeypatch.setattr(report_pins, "REFUSALS",
+                        [(argv, text), (("prop2", "--m", "3..3"), text), (other, text)])
+    assert report_pins.check() == 1
+    out, err = capsys.readouterr()
+    assert out == "0/0 pinned reports match, 1/3 pinned refusals hold\n"
+    assert err == ("not refused as pinned: spinchern prop2 --m 3..3\n"
+                   f"not refused as pinned: {report_pins.named(other)}\n")
 
 
 def test_the_pin_checker_imports_only_the_standard_library_and_spinchern():
@@ -520,8 +519,8 @@ def test_the_pin_checker_imports_only_the_standard_library_and_spinchern():
     assert {name.split(".")[0] for name in names} - sys.stdlib_module_names == {"spinchern"}
 
 
-def test_json_report_fields(capsys):
-    _, out = run_cli(capsys, "theorem1", "--group", "E6", "--format", "json")
+def test_json_report_fields():
+    _, out, _ = run(("theorem1", "--group", "E6", "--format", "json"))
     case = json.loads(out)["cases"][0]
     for key in (
         "group", "n", "h", "class_kind", "total_class", "top_class",
@@ -533,15 +532,15 @@ def test_json_report_fields(capsys):
     assert case["total_class"] == {"0": 1, "16": 1}
 
 
-def test_markdown_format(capsys):
-    _, out = run_cli(capsys, "theorem1", "--format", "md")
+def test_markdown_format():
+    _, out, _ = run(("theorem1", "--format", "md"))
     assert "| G | spin group |" in out
     assert "| n | m | h | deg z |" in out
-    _, out = run_cli(capsys, "quillen", "--n", "9..10", "--format", "md")
+    _, out, _ = run(("quillen", "--n", "9..10", "--format", "md"))
     assert "| n | m | type | h | deg z |" in out
 
 
-def test_out_writes_file(tmp_path, capsys):
+def test_out_writes_file(tmp_path):
     target = tmp_path / "report.json"
     code = main(["quillen", "--n", "9", "--format", "json", "--out", str(target)])
     assert code == 0
@@ -550,25 +549,16 @@ def test_out_writes_file(tmp_path, capsys):
     assert data["rows"][0]["note"]
 
 
-def test_out_to_missing_directory_is_usage_error(tmp_path, capsys):
+def test_out_to_missing_directory_is_usage_error(tmp_path):
     target = tmp_path / "missing" / "r.txt"
-    code = main(["prop2", "--m", "3..3", "--out", str(target)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not target.exists()
+    code, _, err = run(("prop2", "--m", "3..3", "--out", str(target)))
+    assert code == 2 and err.startswith("error: ") and not target.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 def test_stdout_write_error_is_usage_error():
-    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "spinchern.cli", "prop2", "--m", "3..4"],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        proc = spawn("-m", "spinchern", "prop2", "--m", "3..4", stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
@@ -585,29 +575,20 @@ def test_closed_stdout_is_usage_error(capsys, monkeypatch):
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
 def test_spawned_process_with_closed_stdout_exits_2():
-    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinchern", "theorem1"],
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-        preexec_fn=lambda: os.close(1),
-    )
+    proc = spawn("-m", "spinchern", "theorem1", stderr=subprocess.PIPE,
+                 preexec_fn=lambda: os.close(1))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1  # no traceback
 
 
-def test_empty_out_path_is_usage_error(capsys):
+def test_empty_out_path_is_usage_error():
     # an empty path is one that cannot be written, not a request for stdout
-    code = main(["prop2", "--m", "3..3", "--out", ""])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    code, out, err = run(("prop2", "--m", "3..3", "--out", ""))
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_quillen_json_schema(capsys):
-    _, out = run_cli(capsys, "quillen", "--n", "9..12", "--format", "json")
+def test_quillen_json_schema():
+    _, out, _ = run(("quillen", "--n", "9..12", "--format", "json"))
     data = json.loads(out)
     rows = {r["n"]: r for r in data["rows"]}
     assert rows[9]["type"] == "R" and rows[9]["h"] == 4
@@ -619,85 +600,28 @@ def test_quillen_json_schema(capsys):
 
 
 def test_spawned_process_exit_codes():
-    # the exit-code contract holds for the module entry point too; the child
-    # imports the same package as this process, installed or not
-    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
-
-    def spawn(argv: tuple[str, ...]) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "spinchern.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-
-    ok = spawn(("theorem1", "--group", "F4"))
-    assert ok.returncode == 0, ok.stderr
-    assert "indecomposable" in ok.stdout
-
-    # the second derives a cutoff of over 4,300 digits, more than Python prints;
-    # the next three hold a 5,000-digit numeral, refused by its length, not
-    # echoed; the rest hold a value that an error message names by its length
-    nines, most = "9" * 5000, "9" * 4300
-    for argv in (
-        ("prop2", "--m", "1..2"),
-        ("restrict", "--n", "1024", "9" * 4250 + "*delta+"),
-        ("restrict", "--n", "12", nines + "*lambda1"),
-        ("quillen", "--n", nines),
-        ("restrict", "--n", "12", "--cutoff", nines, "lambda1"),
-        ("quillen", "--n", most),
-        ("restrict", "--n", "12", "--cutoff", "-" + most, "lambda1"),
-        ("prop2", "--m", most),
-        ("prop2", "--m", "3.." + most),
-        ("restrict", "--n", most, "lambda1"),
-        ("restrict", "--n", "12", "lambda" + most),
-        ("restrict", "--n", "12", "x" * 5000),
-    ):
-        usage = spawn(argv)
-        assert usage.returncode == 2, usage.stderr
-        assert usage.stderr.count("error:") == 1 and "Traceback" not in usage.stderr
-        assert len(usage.stderr) < 200 and "set_int_max_str_digits" not in usage.stderr
-
-    # argparse's own errors name a long value by its length as well; they
-    # follow the fixed usage text, which is up to four lines
-    xs = "x" * 5000
-    for argv in (
-        ("restrict", "--n", xs, "lambda1"),
-        ("restrict", "--n", "12", "--format", xs, "lambda1"),
-        ("restrict", "--n", "12", "lambda1", xs),
-        ("restrict", "--n", "12", "--cutoff", xs, "lambda1"),
-        ("theorem1", "--group", xs),
-        (xs,),
-    ):
-        usage = spawn(argv)
-        assert usage.returncode == 2, usage.stderr[:400]
-        errors = [line for line in usage.stderr.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "a 5000-character string" in errors[0], usage.stderr[:400]
-        assert len(usage.stderr) < 400 and "Traceback" not in usage.stderr
+    # the exit-code contract holds for the module entry point too
+    ok = spawn("-m", "spinchern", "theorem1", "--group", "F4", capture_output=True)
+    assert ok.returncode == 0 and "indecomposable" in ok.stdout, ok.stderr
+    for argv, text in report_pins.REFUSALS:
+        proc = spawn("-m", "spinchern", *argv, capture_output=True)
+        result = proc.returncode, proc.stdout, proc.stderr
+        assert report_pins.refused(result, text), (report_pins.named(argv), proc.stderr[:400])
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # they cost a fifth of the CLI's start-up; -S keeps site's own imports out
-    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
     code = ("import sys, spinchern.cli; "
             "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
-    )
+    proc = spawn("-S", "-c", code, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
-def test_python_dash_m_spinchern_runs_the_cli(capsys):
-    env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinchern", "quillen", "--n", "9"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+def test_python_dash_m_spinchern_runs_the_cli():
+    proc = spawn("-m", "spinchern", "quillen", "--n", "9", capture_output=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == run_cli(capsys, "quillen", "--n", "9")[1]
+    assert proc.stdout == run(("quillen", "--n", "9"))[1]
 
 
 # ---- fuzzing -------------------------------------------------------------------
@@ -751,9 +675,4 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(argv, cutoff, extra):
     argv = list(argv) + list(extra)
     if cutoff is not None and argv[0] == "restrict":  # the only subcommand with --cutoff
         argv += ["--cutoff", cutoff]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses malformed options itself
-            code = exc.code
-    assert code in (0, 1, 2)
+    assert run(argv)[0] in (0, 1, 2)
