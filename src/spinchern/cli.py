@@ -21,7 +21,10 @@ Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error,
 an input over one of the ``MAX_*`` budgets (estimated from closed forms
 before any work), or a report that cannot be written: an unwritable
 ``--out`` path (the empty one too), a closed stdout or a failing write.
-Identical inputs produce byte-identical reports.
+Identical inputs produce byte-identical reports.  ``restrict`` has two
+budgets, charged on the series ``total_chern`` builds: its widest printed
+integer (``MAX_COEFF_BITS``) and its coefficient products, each weighted by
+8 + its 64-bit limbs (``MAX_PRODUCT_WORK``).
 """
 
 from __future__ import annotations
@@ -65,8 +68,6 @@ MAX_QUILLEN_ROWS = 128  # a row costs ~0.03 s and 82-132 KB of json report (n 6.
 # 686 MiB and 92.3 MB for n = 20 alone (2-vCPU VM, Python 3.11), most of it
 # the packed terms and the printed report
 MAX_FULL_J_DEGREE = 513
-MAX_SERIES_TERMS = 2**18  # coefficients of one truncated series
-MAX_SERIES_BITS = 2**24  # one integral series, all its coefficients together
 MAX_COEFF_BITS = 14_000  # one printed integer; Python prints at most 4300 digits
 MAX_PRODUCT_WORK = 2**28  # coefficient products, each weighted by 8 + its 64-bit limbs
 MAX_DIGITS = 4300  # one numeral in an argument: Python's default int/str conversion limit
@@ -83,51 +84,46 @@ def _log2_binom(n: int, k: int) -> float:
 
 
 def _chern_bounds(weights: dict[int, int], cutoff: int) -> tuple[int, int]:
-    """Upper bounds on the bit length of every coefficient of
-    ``total_chern(weights, cutoff)`` and on its coefficient products.
+    """The length of the list ``total_chern(weights, cutoff)`` builds and a
+    bound on its coefficient products, as integers: min(c, A) + 1 entries
+    for a genuine class (c the cutoff, A its positive moving multiplicity)
+    and c + 1 for a virtual one, each factor (1 + k u)^a multiplied in at
+    most that many times its length, min(a, c) + 1 or c + 1 for a series."""
+    moving = [a for k, a in weights.items() if k and a]
+    terms = (cutoff if min(moving, default=0) < 0 else min(cutoff, sum(moving))) + 1
+    return terms, terms * sum(min(a, cutoff) + 1 if a > 0 else cutoff + 1 for a in moving)
 
-    With c the cutoff, K the largest moving |weight| and A, B the positive
-    and negative moving multiplicities, the u^j coefficient of
-    prod (1 + k u)^a_k is at most that of (1 + K u)^A (1 - K u)^-B, which is
-    at most K^j min(2^A, binom(A + c, c)) binom(c + B - 1, c) (the last
-    factor is 1 when B = 0, and then also j <= A).  ``total_chern``
-    multiplies the factors in one at a time, each product at most c + 1
-    times the factor's length: min(a, c) + 1, or c + 1 for a series.
-    """
+
+def _coeff_bits(weights: dict[int, int], cutoff: int) -> int:
+    """A bound on the bit length of every coefficient of ``total_chern``: with
+    K the largest moving |weight| and A, B the positive and negative moving
+    multiplicities, the u^j coefficient of prod (1 + k u)^a_k is at most that
+    of (1 + K u)^A (1 - K u)^-B, so at most K^j min(2^A, binom(A + c, c))
+    binom(c + B - 1, c), whose last factor is 1 and j <= A when B = 0."""
     moving = {k: a for k, a in weights.items() if k and a}
-    if not moving:
-        return 1, 0
     a_pos = sum(a for a in moving.values() if a > 0)
-    b_neg = -sum(a for a in moving.values() if a < 0)
-    top = cutoff if b_neg else min(cutoff, a_pos)
-    log_coeff = (
-        top * math.log2(max(abs(k) for k in moving))
+    b_neg = a_pos - sum(moving.values())
+    return 1 + math.ceil(
+        (cutoff if b_neg else min(cutoff, a_pos)) * math.log2(max(map(abs, moving), default=1))
         + min(a_pos, _log2_binom(a_pos + cutoff, cutoff))
         + _log2_binom(cutoff + b_neg - 1, cutoff)
     )
-    lengths = (min(a, cutoff) + 1 if a > 0 else cutoff + 1 for a in moving.values())
-    return 1 + math.ceil(log_coeff), (cutoff + 1) * sum(lengths)
 
 
 def _check_chern_budget(weights: dict[int, int], cutoff: int) -> None:
-    """Refuse an integral total Chern class over budget, before building it.
-
-    The widest printed integer is a Chern coefficient or a multiplicity.
-    """
-    if cutoff + 1 > MAX_SERIES_TERMS:
-        raise UsageError(f"cutoff {shown(cutoff)} is over the {MAX_SERIES_TERMS}-coefficient "
-                         f"budget: it needs {shown(cutoff + 1)}")
-    bits, products = _chern_bounds(weights, cutoff)
-    bits = max(bits, max((abs(a) for a in weights.values()), default=0).bit_length())
-    if (
-        bits > MAX_COEFF_BITS
-        or (cutoff + 1) * bits > MAX_SERIES_BITS
-        or products * (8 + bits // 64) > MAX_PRODUCT_WORK
-    ):
-        raise UsageError(
-            f"the total Chern class up to u^{cutoff} may need {bits}-bit coefficients "
-            f"and {products} coefficient products; that is over budget"
-        )
+    """Refuse an integral total Chern class over either budget, before
+    building it; the widest integer is a coefficient or a multiplicity.  The
+    product count, an integer, comes first: the width bound takes floats, and
+    a cutoff of thousands of digits overflows one."""
+    products = _chern_bounds(weights, cutoff)[1]
+    bits = 0 if 8 * products > MAX_PRODUCT_WORK else max(
+        _coeff_bits(weights, cutoff), max(map(abs, weights.values()), default=0).bit_length())
+    if bits > MAX_COEFF_BITS:
+        raise UsageError(f"the total Chern class with cutoff {shown(cutoff)} may need "
+                         f"{bits}-bit integers; the budget is {MAX_COEFF_BITS} bits")
+    if products * (8 + bits // 64) > MAX_PRODUCT_WORK:
+        raise UsageError(f"the total Chern class with cutoff {shown(cutoff)} may need "
+                         f"{shown(products)} coefficient products; that is over budget")
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:

@@ -120,11 +120,13 @@ REFUSALS = [
     (("restrict", "--n", "12"),
      "spinchern restrict: error: the following arguments are required: expression"),
     (("prop2", "--m", "1..2"), "m range must sit inside 3..16, got 1..2"),
+    # 0, the largest cutoff refused: a series must reach u^1
+    (("restrict", "--n", "12", "--cutoff", "0", "lambda1"), "cutoff must be positive, got 0"),
     # a report that cannot be written: an empty --out path is not stdout
     (("theorem1", "--out", ""), "error: [Errno 2] No such file or directory: ''"),
-    # a derived cutoff of over 4,300 digits, more than Python prints
+    # a derived cutoff and a product count of over 4,300 digits, more than Python prints
     (("restrict", "--n", "1024", "9" * 4250 + "*delta+"),
-     "cutoff a 4405-digit number is over the 262144-coefficient budget"),
+     "with cutoff a 4405-digit number may need a 8808-digit number coefficient products"),
     # a 5,000-digit numeral, refused by its length and not echoed
     (("restrict", "--n", "12", "9" * 5000 + "*lambda1"),
      "a 5000-digit number is over the 4300-digit limit"),

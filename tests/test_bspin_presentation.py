@@ -69,6 +69,15 @@ def ideal_piece(
     return index, pivots
 
 
+def lies_in_ideal(n: int, thetas: list[GradedPolyF2], p: GradedPolyF2) -> bool:
+    """Whether the homogeneous p lies in the ideal the thetas generate."""
+    index, pivots = ideal_piece(n, thetas, p.degree)
+    row = 0
+    for term in p.monomials():
+        row ^= 1 << index[term]
+    return reduce(pivots, row) == 0
+
+
 def expected_hilbert(n: int, degrees: list[int], top: int) -> list[int]:
     """Coefficients of prod_r (1 - t^deg theta_r) / prod_{i=2..n} (1 - t^i) up to t^top."""
     series = [1] + [0] * top
@@ -131,11 +140,19 @@ def test_next_square_lies_in_the_ideal(n):
     thetas, h = list(j_ideal_generators(n)), quillen_h(n).h
     nxt = sq_bso(2 ** (h - 1), thetas[-1])
     assert nxt and poly_degree(nxt) == 2**h + 1
-    index, pivots = ideal_piece(n, thetas, 2**h + 1)
-    row = 0
-    for term in nxt.monomials():
-        row ^= 1 << index[term]
-    assert reduce(pivots, row) == 0
+    assert lies_in_ideal(n, thetas, nxt)
+
+
+@pytest.mark.parametrize("n,top", [(n, 30) for n in range(6, 11)] + [(11, 28), (12, 28)])
+def test_every_square_of_a_generator_lies_in_the_ideal(n, top):
+    # J is the kernel of H*(BSO(n)) -> H*(BSpin(n)), a map of algebras over
+    # the Steenrod algebra, so Sq^i theta_r lies in J for every i and r
+    thetas = list(j_ideal_generators(n, top))
+    squares = [sq for theta in thetas for i in range(1, top - theta.degree + 1)
+               if (sq := sq_bso(i, theta))]
+    assert squares
+    for sq in squares:
+        assert lies_in_ideal(n, thetas, sq), (n, str(sq))
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ import report_pins
 import spinchern
 from report_pins import run
 from spinchern.char_classes import TruncatedPoly, total_chern
-from spinchern.cli import _chern_bounds, main, run_quillen, verify_all
+from spinchern.cli import _chern_bounds, _coeff_bits, main, run_quillen, verify_all
 
 
 def spawn(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -247,7 +247,7 @@ def test_restrict_virtual_with_moving_weights_on_both_sides():
     "argv",
     [
         ("restrict", "--n", "201", "delta"),
-        ("restrict", "--n", "9", "delta", "--cutoff", "99999999999999999999"),
+        ("restrict", "--n", "9", "8 - delta", "--cutoff", "99999999999999999999"),
     ],
 )
 def test_unallocatable_cutoff_is_usage_error(argv):
@@ -256,24 +256,26 @@ def test_unallocatable_cutoff_is_usage_error(argv):
 
 
 def test_cutoff_over_the_series_budget_is_named():
-    code, _, err = run(("restrict", "--n", "12", "--cutoff", "262144", "lambda1"))
-    assert (code, err) == (
-        2, "error: cutoff 262144 is over the 262144-coefficient budget: it needs 262145\n")
+    # a virtual class runs to its cutoff: (cutoff + 1) * 2 (cutoff + 1) products
+    code, _, err = run(("restrict", "--n", "12", "--cutoff", "262144", "3 - lambda1"))
+    assert (code, err) == (2, "error: the total Chern class with cutoff 262144 may need "
+                              "137440002050 coefficient products; that is over budget\n")
 
 
 def test_4300_digit_cutoff_is_one_short_error_line():
-    # cutoff + 1 = 10^4300 has more digits than Python converts to str
-    code, _, err = run(("restrict", "--n", "12", "--cutoff", "9" * 4300, "lambda1"))
-    assert (code, err) == (2, "error: cutoff a 4300-digit number is over the 262144-coefficient "
-                              "budget: it needs a 4301-digit number\n")
+    # the cutoff and its product count have too many digits to print
+    code, _, err = run(("restrict", "--n", "12", "--cutoff", "9" * 4300, "3 - lambda1"))
+    assert (code, err) == (2, "error: the total Chern class with cutoff a 4300-digit number "
+                              "may need a 8601-digit number coefficient products; "
+                              "that is over budget\n")
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("restrict", "--n", "40", "delta+"),
-        ("restrict", "--n", "14", "--cutoff", "100000000", "lambda1"),
-        # a multiplicity that drives the derived cutoff past the series budget
+        ("restrict", "--n", "14", "--cutoff", "100000000", "3 - lambda1"),
+        # a multiplicity that drives the series length past the work budget
         ("restrict", "--n", "9", "99999999999999999999*lambda1"),
         # 15,170-bit coefficients, over the 14,000 a printed integer may have
         ("restrict", "--n", "30", "--cutoff", "4000", "delta+"),
@@ -296,6 +298,44 @@ def test_over_budget_input_is_refused_before_work(argv):
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "admitted,text",
+    [
+        # width: 13,975-bit coefficients, and 14,048 at cutoff 189
+        (("restrict", "--n", "30", "--cutoff", "188", f"{10**20}*delta+"), "-bit integers"),
+        # work: 0.9997 of the budget, and over it at cutoff 3663
+        (("restrict", "--n", "9", "--cutoff", "3662", "8 - delta"), "coefficient products"),
+    ],
+)
+def test_each_budget_admits_an_input_just_inside_it(admitted, text):
+    assert run(admitted)[0] == 0
+    cut = admitted.index("--cutoff") + 1
+    over = admitted[:cut] + (str(int(admitted[cut]) + 1),) + admitted[cut + 1:]
+    assert report_pins.refused(run(over), text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the four argvs that the refusal tests above took on a genuine class
+        ("restrict", "--n", "9", "delta", "--cutoff", "99999999999999999999"),
+        ("restrict", "--n", "12", "--cutoff", "262144", "lambda1"),
+        ("restrict", "--n", "12", "--cutoff", "9" * 4300, "lambda1"),
+        ("restrict", "--n", "14", "--cutoff", "100000000", "lambda1"),
+        # (1 - u^2)^64, which was charged 17039490 products of cutoff + 1 coefficients
+        ("restrict", "--n", "12", "--cutoff", "131072", "4*delta+"),
+    ],
+)
+def test_a_genuine_class_is_charged_up_to_its_top_power(argv):
+    # it stops at u^A, A its positive moving multiplicity, whatever the cutoff,
+    # and plain reports print no cutoff
+    start = time.perf_counter()
+    code, out, _ = run(argv)
+    assert time.perf_counter() - start < 1.0 and code == 0
+    cut = argv.index("--cutoff") + 1
+    assert run(argv[:cut] + ("65535",) + argv[cut + 1:]) == (0, out, "")
+
+
 def test_budgets_admit_the_largest_documented_runs():
     # the benchmark's costliest restrict item, README's quillen range and a
     # --full-j range; prop2 --m 16..16 runs in the test below
@@ -312,9 +352,11 @@ def test_budgets_admit_the_largest_documented_runs():
 )
 @settings(max_examples=150, deadline=None)
 def test_chern_bounds_cover_the_computed_series(weights, cutoff):
-    bits, _ = _chern_bounds(weights, cutoff)
-    widest = max(abs(c).bit_length() for c in total_chern(weights, cutoff).terms.values())
-    assert widest <= bits
+    terms, products = _chern_bounds(weights, cutoff)
+    series = total_chern(weights, cutoff).terms
+    assert max(abs(c).bit_length() for c in series.values()) <= _coeff_bits(weights, cutoff)
+    # no nonzero power reaches the length charged, and it is charged at least its square
+    assert max(series) < terms and (products >= terms**2 or products == 0)
 
 
 ORACLE_NAMES = {

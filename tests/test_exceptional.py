@@ -292,6 +292,13 @@ def test_failing_case_reports_witness():
     assert report.notes
 
 
+def test_wrong_ambient_dimension_fails_the_case():
+    # every class verdict holds, so the dimension audit alone fails the case
+    report = verify_case(get_case("E6")._replace(ambient_dim=28))
+    assert report.generates_image and report.verdicts["total_class_shape"] is True
+    assert (report.verdicts["dimension"], report.passed) == ("fail", False)
+
+
 def test_complexified_witness_reads_its_own_class():
     # lambda1 alone has total classes 1, so neither top class is there
     report = verify_case(get_case("F4")._replace(restriction=RepExpr.from_dict({lam(1): 1})))

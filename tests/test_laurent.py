@@ -317,8 +317,10 @@ def test_f2_reduces_coefficients():
 
 
 def test_constructor_rejects_bad_ring_and_cutoff():
-    with pytest.raises(ValueError):
-        TruncatedPoly("Q", 4, {})
+    # Z and F2 are the only rings, whatever a third name would look like
+    for ring in ("Q", "R", "F3", "Z/2", "z", "f2", "", "ZZ"):
+        with pytest.raises(ValueError, match="ring must be 'Z' or 'F2'"):
+            TruncatedPoly(ring, 4, {})
     with pytest.raises(ValueError):
         TruncatedPoly("Z", -1, {})
 

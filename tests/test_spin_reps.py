@@ -27,6 +27,7 @@ from spinchern.spin_reps import (
     lam,
     parse_expr,
     quillen_h,
+    shown,
     spinor_type,
     triv,
 )
@@ -344,6 +345,12 @@ def test_quillen_h_discrepancy_notes():
 
 
 # ---- expression parsing -------------------------------------------------------------
+
+
+def test_shown_counts_the_sign_of_a_negative_number():
+    # 39 digits and a sign fit in 40 characters; 40 digits and a sign do not
+    assert shown(-(10**38)) == repr(-(10**38))
+    assert shown(-(10**39)) == "a 40-digit number"
 
 
 def test_parse_expr_grammar():

@@ -410,6 +410,22 @@ def test_mul_across_widths_matches_tuple_oracle():
         assert got == GradedPolyF2.from_monomials(n, want) == poly_product(pb, pa)
 
 
+def test_adem_relations_random():
+    # Sq^a Sq^b = sum_c binom(b - c - 1, a - 2c) Sq^{a+b-c} Sq^c for 0 < a < 2b
+    # (Adem, PNAS 38, 1952): the Steenrod algebra's own relations, which
+    # need no second square routine
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        mon = rng.choice(_partitions(rng.randint(2, 10), 2, n))
+        b = rng.randint(1, 6)
+        a = rng.randint(1, 2 * b - 1)
+        p = GradedPolyF2.from_monomials(n, [mon])
+        right = [sq_bso(a + b - c, sq_bso(c, p))
+                 for c in range(a // 2 + 1) if comb(b - c - 1, a - 2 * c) % 2]
+        assert sq_bso(a, sq_bso(b, p)) == poly_sum(n, *right), (a, b, mon)
+
+
 # ---- instability --------------------------------------------------------------
 
 
