@@ -60,11 +60,10 @@ class TruncatedPoly:
             raise ValueError("cutoff must be nonnegative")
         self.ring = ring
         self.cutoff = cutoff
-        keys = sorted(k for k in terms if 0 <= k <= cutoff)
         if ring == "F2":
-            self.terms = {k: 1 for k in keys if terms[k] & 1}
+            self.terms = {k: 1 for k in sorted(terms) if terms[k] & 1 and 0 <= k <= cutoff}
         else:
-            self.terms = {k: c for k in keys if (c := terms[k])}
+            self.terms = {k: c for k in sorted(terms) if (c := terms[k]) and 0 <= k <= cutoff}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedPoly):
@@ -132,7 +131,10 @@ def total_chern(weights: WeightMultiset, cutoff: int, ring: str = "Z") -> Trunca
     ring homomorphism, so ``total_chern(w, c, "F2") == mod2(total_chern(w, c))``.
     """
     if ring == "F2":
-        odd = sum(a for k, a in weights.items() if k % 2)
+        odd = 0  # the signed count of odd weights
+        for k, a in weights.items():
+            if k % 2:
+                odd += a
         return TruncatedPoly("F2", cutoff, dict.fromkeys(_odd_binomials(odd, cutoff), 1))
     out = [1]  # the dense coefficients of the product so far
     for k, a in sorted(weights.items()):

@@ -12,10 +12,13 @@ Four subcommands:
 
 Every subcommand takes ``--format`` and ``--out``.  An option is offered
 only where it can change a result: ``--convention`` for ``theorem1`` and
-``restrict``, ``--cutoff`` for ``restrict``.  ``prop2`` and ``theorem1``
-cut each series at twice the degree of the class they check; mod 2 a class
-depends only on the count of odd circle weights, which neither the cutoff
-nor the odd-n lambda convention (it moves the weights 0 and +-2) changes.
+``restrict``, ``--cutoff`` for ``restrict``.  ``SUBCOMMANDS`` lists each
+subcommand's help and options, and a call builds the parser of the
+subcommand it names alone (all four for ``--help`` or a typo).  ``prop2``
+and ``theorem1`` cut each series at twice the degree of the class they
+check; mod 2 a class depends only on the count of odd circle weights, which
+neither the cutoff nor the odd-n lambda convention (it moves the weights 0
+and +-2) changes.
 
 Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error,
 an input over one of the ``MAX_*`` budgets (estimated from closed forms
@@ -158,12 +161,16 @@ def run_prop2(m_lo: int, m_hi: int) -> dict:
             symbols = g.generators()
             weights = [circle_weights(g, sym, PAPER_LITERAL) for sym in symbols]
             cut = 2 * sum(weights[-1].values())
+            expected: dict[int, tuple[TruncatedPoly, str]] = {}  # by top power, once a group
             for sym, w in zip(symbols, weights):
                 series = total_chern(w, cut, "F2")
-                terms = {0: 1} if sym.kind == "lambda" else {0: 1, sum(w.values()): 1}
-                expected = TruncatedPoly("F2", cut, terms)
+                top = 0 if sym.kind == "lambda" else sum(w.values())
+                if top not in expected:
+                    poly = TruncatedPoly("F2", cut, {0: 1, top: 1} if top else {0: 1})
+                    expected[top] = poly, str(poly)
+                poly, text = expected[top]
                 checks.append({"m": m, "n": n, "symbol": str(sym), "computed": str(series),
-                               "expected": str(expected), "pass": series == expected})
+                               "expected": text, "pass": series == poly})
     return {
         "convention": PAPER_LITERAL,
         "m_range": f"{m_lo}..{m_hi}",
@@ -402,63 +409,92 @@ class _Parser(argparse.ArgumentParser):
             )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help text, the report it runs, and its options beyond
+# --format and --out, which every subcommand takes, as add_argument's
+# keywords by name, in the order its --help lists them.
+SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], dict], dict[str, dict]]] = {
+    "prop2": (
+        "sweep the mod-2 total Chern class identities",
+        lambda args: run_prop2(*_parse_range(args.m, "m")),
+        {"--m": dict(default="3..12", help="torus rank range A..B (default: %(default)s)")},
+    ),
+    "theorem1": (
+        "verify the exceptional-group top classes",
+        lambda args: run_theorem1(
+            GROUP_ORDER if args.group == "all" else [args.group], args.convention),
+        {"--group": dict(choices=("all",) + GROUP_ORDER, default="all"),
+         "--convention": dict(choices=CONVENTIONS, default=VECTOR_REP,
+                              help="odd-n lambda convention (default: %(default)s)")},
+    ),
+    "quillen": (
+        "spinor type, h, deg z and ideal generators",
+        lambda args: run_quillen(
+            *_parse_range(args.n, "n"),
+            0 if args.fmt != "json" else None if args.full_j else DEFAULT_J_POLY_LIMIT),
+        {"--n": dict(required=True, help="n or range A..B"),
+         "--full-j": dict(action="store_true",
+                          help="in json reports, expand ideal generator polynomials of every "
+                               "degree (n <= 20); md and plain reports expand none")},
+    ),
+    "restrict": (
+        "restrict an expression to the circle",
+        lambda args: run_restrict(args.n, args.expression, args.convention, args.cutoff),
+        {"--n": dict(type=int, required=True),
+         "expression": dict(nargs="?",
+                            help="e.g. '8 + lambda2 + delta+' or '2*lambda1 + delta-'; "
+                                 "one that starts with '-' goes after '--'"),
+         "--convention": dict(choices=CONVENTIONS, default=PAPER_LITERAL,
+                              help="odd-n lambda convention (default: %(default)s)"),
+         "--cutoff": dict(type=int, default=None,
+                          help="truncation cutoff in powers of u (default: task-derived)")},
+    ),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of ``spinchern argv``: the top-level parser and the
+    subparser that ``argv[0]`` names, or all of them when it names none
+    (``--help``, ``--version``, a typo or nothing), so that every usage and
+    help text the parser can print for ``argv`` lists every subcommand."""
     parser = _Parser(
         prog="spinchern",
         description="Exact characteristic-class computations for spin representations.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def subcommand(name: str, help: str) -> argparse.ArgumentParser:
+    # prog, the subcommands' usage prefix, given so that argparse formats none
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name in argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS:
+        help, run, options = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help)
-        p.set_defaults(parser=p)  # main's own errors print this subcommand's usage
+        p.set_defaults(parser=p, run=run)  # main's own errors print this subcommand's usage
         p.add_argument("--format", choices=("json", "md", "plain"), default="plain",
                        dest="fmt", help="report format (default: %(default)s)")
         p.add_argument("--out", default=None, help="write the report to this path")
-        return p
-
-    p = subcommand("prop2", "sweep the mod-2 total Chern class identities")
-    p.add_argument("--m", default="3..12", help="torus rank range A..B (default: %(default)s)")
-    p.set_defaults(run=lambda args: run_prop2(*_parse_range(args.m, "m")))
-
-    p = subcommand("theorem1", "verify the exceptional-group top classes")
-    p.add_argument("--group", choices=("all",) + GROUP_ORDER, default="all")
-    p.add_argument("--convention", choices=CONVENTIONS, default=VECTOR_REP,
-                   help="odd-n lambda convention (default: %(default)s)")
-    p.set_defaults(run=lambda args: run_theorem1(
-        GROUP_ORDER if args.group == "all" else [args.group], args.convention))
-
-    p = subcommand("quillen", "spinor type, h, deg z and ideal generators")
-    p.add_argument("--n", required=True, help="n or range A..B")
-    p.add_argument("--full-j", action="store_true",
-                   help="in json reports, expand ideal generator polynomials of every "
-                        "degree (n <= 20); md and plain reports expand none")
-    p.set_defaults(run=lambda args: run_quillen(
-        *_parse_range(args.n, "n"),
-        0 if args.fmt != "json" else None if args.full_j else DEFAULT_J_POLY_LIMIT))
-
-    p = subcommand("restrict", "restrict an expression to the circle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("expression", nargs="?",
-                   help="e.g. '8 + lambda2 + delta+' or '2*lambda1 + delta-'; "
-                        "one that starts with '-' goes after '--'")
-    p.add_argument("--convention", choices=CONVENTIONS, default=PAPER_LITERAL,
-                   help="odd-n lambda convention (default: %(default)s)")
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="truncation cutoff in powers of u (default: task-derived)")
-    p.set_defaults(run=lambda args: run_restrict(
-        args.n, args.expression, args.convention, args.cutoff))
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _drop_stdout_buffer() -> None:
+    """After a write to the real stdout failed, point its fd at the null
+    device, so the text still in its buffer goes nowhere when Python flushes
+    it at exit, where a second failure would turn exit code 2 into 120."""
+    if sys.stdout is sys.__stdout__:
+        import os  # loaded at every start-up; imported here so cli imports nothing more
+
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        digits = max((len(run) for arg in argv for run in re.findall(r"\d+", arg)), default=0)
+        digits = max((len(run) for arg in argv if len(arg) > MAX_DIGITS
+                      for run in re.findall(r"\d+", arg)), default=0)
         if digits > MAX_DIGITS:  # refused by its length: int() fails on it and argparse echoes it
             raise UsageError(f"a {digits}-digit number is over the {MAX_DIGITS}-digit limit")
-        args, extra = build_parser().parse_known_args(argv)
+        args, extra = build_parser(argv).parse_known_args(argv)
         if args.command == "restrict" and args.expression is None:
             # argparse takes a dash-led expression such as -3*lambda1 for an option
             if extra and not extra[0].startswith("--"):
@@ -475,8 +511,12 @@ def main(argv: list[str] | None = None) -> int:
         elif sys.stdout is None:
             raise OSError("stdout is closed")
         else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError:
+                _drop_stdout_buffer()
+                raise
     except (UsageError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -231,11 +231,6 @@ def _check_symbol(g: SpinGroup, sym: RepSymbol) -> None:
         )
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; use one of {CONVENTIONS}")
-
-
 def circle_weights(
     g: SpinGroup, expr: RepExpr | RepSymbol, convention: str = PAPER_LITERAL
 ) -> dict[int, int]:
@@ -249,24 +244,28 @@ def circle_weights(
     ``vector-rep`` at odd n, because e_i(x, 1) = e_i(x) + e_{i-1}(x); Delta
     is 2^{m-1} (z + z^-1) and either half-spinor 2^{m-2} (z + z^-1).
     """
-    _check_convention(convention)
-    out: dict[int, int] = {}
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; use one of {CONVENTIONS}")
+    c0 = c2 = c1 = 0  # the multiplicities of z^0, of z^2 and z^-2, of z and z^-1
     for sym, mult in ((expr, 1),) if isinstance(expr, RepSymbol) else expr.terms:
         _check_symbol(g, sym)
         if sym.kind == "triv":
-            weights = {0: sym.index}
+            c0 += mult * sym.index
         elif sym.kind == "lambda":
-            alpha, beta = closed_form_f1_lambda(g, sym.index)
+            alpha, beta = _f1_lambda(g.m, sym.index)
             if convention == VECTOR_REP and not g.is_even:
-                alpha0, beta0 = closed_form_f1_lambda(g, sym.index - 1)
+                alpha0, beta0 = _f1_lambda(g.m, sym.index - 1)
                 alpha, beta = alpha + alpha0, beta + beta0
-            weights = {0: alpha, 2: beta, -2: beta}
+            c0 += mult * alpha
+            c2 += mult * beta
         else:
-            half = 2 ** (g.m - 1 if sym.kind == "delta" else g.m - 2)
-            weights = {1: half, -1: half}
-        for k, c in weights.items():
-            out[k] = out.get(k, 0) + mult * c
-    return {k: a for k, a in out.items() if a}
+            c1 += mult * 2 ** (g.m - 1 if sym.kind == "delta" else g.m - 2)
+    weights = {0: c0} if c0 else {}
+    if c2:
+        weights[2] = weights[-2] = c2
+    if c1:
+        weights[1] = weights[-1] = c1
+    return weights
 
 
 def format_character(weights: dict[int, int]) -> str:
@@ -290,11 +289,14 @@ def closed_form_f1_lambda(g: SpinGroup, i: int) -> tuple[int, int]:
     to alpha_i = 2^i C(m-1, i), beta_i = 2^{i-1} C(m-1, i-1).  i = 0 is the
     empty product: (1, 0).
     """
-    if i == 0:
-        return (1, 0)
-    _check_symbol(g, lam(i))
-    m = g.m
-    return (2**i * comb(m - 1, i), 2 ** (i - 1) * comb(m - 1, i - 1))
+    if i:
+        _check_symbol(g, lam(i))
+    return _f1_lambda(g.m, i)
+
+
+def _f1_lambda(m: int, i: int) -> tuple[int, int]:
+    """:func:`closed_form_f1_lambda` at rank m for an index already checked."""
+    return (2**i * comb(m - 1, i), 2 ** (i - 1) * comb(m - 1, i - 1)) if i else (1, 0)
 
 
 def dimension(g: SpinGroup, expr: RepExpr | RepSymbol, convention: str = PAPER_LITERAL) -> int:

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from spinchern import char_classes
 from spinchern.char_classes import (
     TruncatedPoly,
     VirtualCharacterError,
@@ -349,6 +350,17 @@ def test_vanishing_on_bso():
 def test_vanishing_on_bso_full_range():
     for n in range(6, 17):
         assert vanishing_on_bso_check(SpinGroup(n)), n
+
+
+def test_vanishing_on_bso_fails_on_odd_weights(monkeypatch):
+    # a negative control: the spinor's odd weights have a nonzero SW class,
+    # 1 + u^(dim/2), which the check's cutoff of 32 keeps up to n = 14
+    def spinor_weights(g, sym, convention):
+        return circle_weights(g, DELTA_PLUS if g.is_even else DELTA, convention)
+
+    monkeypatch.setattr(char_classes, "circle_weights", spinor_weights)
+    for n in range(6, 15):
+        assert not vanishing_on_bso_check(SpinGroup(n)), n
 
 
 # ---- binomial shape oracles ---------------------------------------------------------------

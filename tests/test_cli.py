@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
+import contextlib
 import doctest
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -24,13 +27,23 @@ import report_pins
 import spinchern
 from report_pins import run
 from spinchern.char_classes import TruncatedPoly, total_chern
-from spinchern.cli import _chern_bounds, _coeff_bits, main, run_quillen, verify_all
+from spinchern.cli import (
+    SUBCOMMANDS,
+    _chern_bounds,
+    _coeff_bits,
+    build_parser,
+    main,
+    run_quillen,
+    verify_all,
+)
 
 
 def spawn(*args: str, **kwargs) -> subprocess.CompletedProcess:
     """Run ``python args`` in a fresh interpreter that imports the same
-    package as this process, installed or not."""
+    package as this process, installed or not, with its stdout buffered as
+    in a plain shell whatever ``PYTHONUNBUFFERED`` says here."""
     env = {**os.environ, "PYTHONPATH": str(Path(spinchern.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, *args], text=True, env=env, **kwargs)
 
 
@@ -497,6 +510,43 @@ def test_unknown_subcommand_exits_2():
     assert run(("frobnicate",))[0] == 2
 
 
+def _parsed(parser: argparse.ArgumentParser, argv: tuple[str, ...]) -> tuple:
+    """What ``parser`` makes of ``argv``: its namespace without the ``parser``
+    and ``run`` callables, the arguments it left over, stdout, stderr and the
+    exit code argparse raised, if any."""
+    out, err = io.StringIO(), io.StringIO()
+    fields = extra = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, extra = parser.parse_known_args(list(argv))
+            fields = {k: v for k, v in vars(args).items() if k not in ("parser", "run")}
+        except SystemExit as exc:  # refusals and --help
+            code = exc.code
+    return fields, extra, out.getvalue(), err.getvalue(), code
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> list[str]:
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_one_subcommand_parser_parses_as_all_four():
+    argvs = ([("theorem1", *argv) for argv, _ in report_pins.THEOREM1_DIGESTS]
+             + [argv for argv, _ in report_pins.REPORT_DIGESTS + report_pins.REFUSALS]
+             + [("-h",)] + [(name, "-h") for name in SUBCOMMANDS])
+    differ = [report_pins.named(argv) for argv in argvs
+              if _parsed(build_parser(argv), argv) != _parsed(build_parser(), argv)]
+    assert not differ
+    assert _parsed(build_parser(), ("prop2", "-h"))[2].startswith("usage: spinchern prop2 ")
+
+
+def test_a_named_subcommand_builds_its_parser_alone():
+    for name in SUBCOMMANDS:
+        assert _subcommands(build_parser([name, "-h"])) == [name]
+    for argv in [(), ("-h",), ("--version",), ("prop",), ("--", "prop2")]:
+        assert _subcommands(build_parser(argv)) == list(SUBCOMMANDS), argv
+
+
 # ---- determinism ----------------------------------------------------------------
 
 
@@ -599,6 +649,8 @@ def test_out_to_missing_directory_is_usage_error(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 def test_stdout_write_error_is_usage_error():
+    # the report fits stdout's buffer, so the first write to fail is main's
+    # flush; Python's own flush at exit must then find the buffer empty
     with open("/dev/full", "w") as full:
         proc = spawn("-m", "spinchern", "prop2", "--m", "3..4", stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 2
