@@ -25,7 +25,6 @@ nothing overflows or rounds.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterator, Mapping
 
 from .spin_reps import PAPER_LITERAL, SpinGroup, circle_weights, lam, signed_sum
@@ -91,15 +90,20 @@ def is_palindromic(weights: WeightMultiset) -> bool:
 
 
 def _binomial_factor(k: int, mult: int, cutoff: int) -> list[int]:
-    """The coefficients of (1 + k*u)^mult over Z up to u^cutoff, by direct
-    binomial expansion; k and mult are nonzero.
+    """The coefficients of (1 + k*u)^mult over Z up to u^cutoff; k and mult
+    are nonzero.
 
-    A negative ``mult`` gives the binomial series, which runs up to the
-    cutoff: binom(mult, j) = (-1)^j binom(j - mult - 1, j).
+    They follow from c_0 = 1 and c_{j+1} = c_j * k * (mult - j) / (j + 1),
+    J.C.P. Miller's recurrence for one factor, from (1 + k*u) f' = mult*k*f;
+    c_j = binom(mult, j) k^j, so the division is exact for either sign of
+    mult.  A positive ``mult`` stops at u^mult, and a negative one gives the
+    binomial series, which runs up to the cutoff.
     """
-    if mult > 0:
-        return [comb(mult, j) * k**j for j in range(min(mult, cutoff) + 1)]
-    return [comb(j - mult - 1, j) * (-k) ** j for j in range(cutoff + 1)]
+    c, out = 1, [1]
+    for j in range(min(mult, cutoff) if mult > 0 else cutoff):
+        c = c * (k * (mult - j)) // (j + 1)
+        out.append(c)
+    return out
 
 
 def _odd_binomials(n: int, cutoff: int) -> Iterator[int]:

@@ -24,6 +24,9 @@ Exit codes: 0 all checks pass, 1 a verification mismatch, 2 a usage error,
 an input over one of the ``MAX_*`` budgets (estimated from closed forms
 before any work), or a report that cannot be written: an unwritable
 ``--out`` path (the empty one too), a closed stdout or a failing write.
+``--out`` is opened before the work, as a shell's ``>`` is, so a run that
+then fails leaves the file empty.  An ``error:`` line that cannot be written
+still exits 2.
 Identical inputs produce byte-identical reports.  ``restrict`` has two
 budgets, charged on the series ``total_chern`` builds: its widest printed
 integer (``MAX_COEFF_BITS``) and its coefficient products, each weighted by
@@ -475,15 +478,15 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
-def _drop_stdout_buffer() -> None:
-    """After a write to the real stdout failed, point its fd at the null
-    device, so the text still in its buffer goes nowhere when Python flushes
-    it at exit, where a second failure would turn exit code 2 into 120."""
-    if sys.stdout is sys.__stdout__:
+def _drop_buffer(stream) -> None:
+    """After a write to the real stdout or stderr failed, point its fd at the
+    null device, so the text still in its buffer goes nowhere when Python
+    flushes it at exit, where a second failure would turn exit code 2 into 120."""
+    if stream is not None and stream in (sys.__stdout__, sys.__stderr__):
         import os  # loaded at every start-up; imported here so cli imports nothing more
 
         null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
+        os.dup2(null, stream.fileno())
         os.close(null)
 
 
@@ -503,21 +506,24 @@ def main(argv: list[str] | None = None) -> int:
             args.parser.error("the following arguments are required: expression")
         if extra:
             args.parser.error(f"unrecognized arguments: {' '.join(map(shown, extra))}")
-        report = {"command": args.command, "tool_version": __version__, **args.run(args)}
-        text = _RENDERERS[args.fmt](report)
-        if args.out is not None:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        elif sys.stdout is None:
+        # the report's destination is opened before the work, as a shell's > is
+        out = sys.stdout if args.out is None else open(args.out, "w")
+        if out is None:
             raise OSError("stdout is closed")
-        else:
-            try:
-                sys.stdout.write(text)
-                sys.stdout.flush()
-            except OSError:
-                _drop_stdout_buffer()
-                raise
+        try:
+            report = {"command": args.command, "tool_version": __version__, **args.run(args)}
+            out.write(_RENDERERS[args.fmt](report))
+            out.flush()
+        except OSError:
+            _drop_buffer(out)
+            raise
+        finally:
+            if args.out is not None:
+                out.close()
     except (UsageError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            _drop_buffer(sys.stderr)
         return USAGE_ERROR
     return MISMATCH if report.get("all_passed") is False else 0

@@ -198,12 +198,20 @@ def test_virtual_round_trip_random():
 def test_negative_multiplicity_is_binomial_series():
     # (1 + 2u)^{-1} = sum of (-2u)^j
     assert total_chern({2: -1}, 6).terms == dict(enumerate((1, -2, 4, -8, 16, -32, 64)))
-    # (1 + k u)^-a = sum of binom(a + j - 1, j) (-k u)^j, at every moving
-    # weight, beside weight-0 entries and zero multiplicities
+    # one factor (1 + k u)^a: binom(a, j) k^j up to u^a for a > 0, and the
+    # series binom(|a| + j - 1, j) (-k)^j up to the cutoff for a < 0, at
+    # cutoffs on both sides of |a|
+    for k in (-4, -3, -2, -1, 1, 2, 3, 4):
+        for b in range(1, 41):
+            for cut in sorted({0, 1, b - 1, b, b + 1, 40}):
+                genuine = {j: comb(b, j) * k**j for j in range(min(b, cut) + 1)}
+                series = {j: comb(j + b - 1, j) * (-k) ** j for j in range(cut + 1)}
+                assert total_chern({k: b}, cut).terms == genuine, (k, b, cut)
+                assert total_chern({k: -b}, cut).terms == series, (k, -b, cut)
+    # beside weight-0 entries and zero multiplicities
     for k in (-2, -1, 1, 2):
         for a in (1, 2, 5):
             expected = TruncatedPoly("Z", 12, {j: comb(a + j - 1, j) * (-k) ** j for j in range(13)})
-            assert total_chern({k: -a}, 12) == expected, (k, a)
             assert total_chern({k: -a, 0: -a, -k: 0}, 12) == expected, (k, a)
             # a conjugate pair: (1 - k^2 u^2)^-a
             pair = {2 * j: comb(a + j - 1, j) * k ** (2 * j) for j in range(7)}

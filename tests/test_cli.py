@@ -29,6 +29,7 @@ from report_pins import run
 from spinchern.char_classes import TruncatedPoly, total_chern
 from spinchern.cli import (
     SUBCOMMANDS,
+    UsageError,
     _chern_bounds,
     _coeff_bits,
     build_parser,
@@ -645,6 +646,41 @@ def test_out_to_missing_directory_is_usage_error(tmp_path):
     target = tmp_path / "missing" / "r.txt"
     code, _, err = run(("prop2", "--m", "3..3", "--out", str(target)))
     assert code == 2 and err.startswith("error: ") and not target.exists()
+
+
+def test_out_is_opened_before_the_work(tmp_path, monkeypatch):
+    # as a shell's > does: an unwritable path is refused before the runner
+    # runs, and a run that fails after the open leaves the file empty
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise UsageError("refused by the runner")
+
+    monkeypatch.setattr("spinchern.cli.run_quillen", refuse)
+    missing = tmp_path / "missing" / "x.json"
+    argv = ("quillen", "--n", "6..18", "--full-j", "--format", "json", "--out")
+    code, _, err = run((*argv, str(missing)))
+    assert (code, calls) == (2, [])
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    target = tmp_path / "x.json"
+    target.write_text("old report")
+    code, _, err = run((*argv, str(target)))
+    assert (code, err, len(calls)) == (2, "error: refused by the runner\n", 1)
+    assert target.read_text() == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+def test_an_error_line_that_cannot_be_written_exits_2(flags):
+    # stderr on a full device: without the fix the exit code was 120 from
+    # Python's flush at exit (buffered) or 1 from a traceback (unbuffered)
+    with open("/dev/full", "w") as full:
+        refused = spawn(*flags, "-m", "spinchern", "prop2", "--m", "2..2",
+                        stdout=subprocess.PIPE, stderr=full)
+        unwritten = spawn(*flags, "-m", "spinchern", "theorem1", stdout=full, stderr=full)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert unwritten.returncode == 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")

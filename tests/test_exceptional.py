@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from oracles import character_on_Tm, e8_roots, f4_short_roots
+from spinchern.char_classes import TruncatedPoly, total_chern
 from spinchern.exceptional import (
     CHERN_KIND,
     DECOMPOSABLE,
@@ -233,6 +234,37 @@ def test_square_relation_is_the_complexification_check(monkeypatch):
     for group in ("E6", "E7"):
         assert reports[group]["verdicts"]["square_relation"] == "n/a"
         assert reports[group]["passed"] is True
+
+
+def _with_f2_class(monkeypatch, terms):
+    """Make verify_case's own mod-2 total_chern return 1 + the given powers;
+    total_sw_real and complexification_check keep char_classes' real one."""
+
+    def patched(weights, cutoff, ring="Z"):
+        if ring == "F2":
+            return TruncatedPoly("F2", cutoff, dict.fromkeys((0, *terms), 1))
+        return total_chern(weights, cutoff, ring)
+
+    monkeypatch.setattr("spinchern.exceptional.total_chern", patched)
+
+
+def test_a_wrong_chern_class_shape_fails_the_case(monkeypatch):
+    # u^16 is still there and indecomposable, so the shape alone fails E6
+    _with_f2_class(monkeypatch, (8, 16))
+    report = verify_case(get_case("E6"))
+    assert report.generates_image and report.verdicts["dimension"] == "pass"
+    assert (report.verdicts["total_class_shape"], report.passed) == (False, False)
+
+
+def test_a_wrong_complexified_shape_fails_an_sw_case(monkeypatch):
+    # F4's SW class and c = w^2 hold, and u^16 is still there and decomposable,
+    # so the complexified class's shape alone fails the case
+    _with_f2_class(monkeypatch, (4, 16))
+    report = verify_case(get_case("F4"))
+    assert report.total_class_str == "1 + u^8" and report.generates_image
+    assert report.verdicts["square_relation"] is True
+    assert report.complexified["indecomposability"] == DECOMPOSABLE
+    assert (report.complexified["shape"], report.passed) == (False, False)
 
 
 def test_trivial_summand_invariance():
