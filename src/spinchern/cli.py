@@ -36,7 +36,6 @@ integer (``MAX_COEFF_BITS``) and its coefficient products, each weighted by
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -264,6 +263,8 @@ def run_restrict(n: int, expression: str, convention: str, cutoff: int | None) -
 
 
 def _render_json(report: dict) -> str:
+    import json  # five modules; imported here so only json reports load them
+
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

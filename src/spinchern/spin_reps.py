@@ -172,7 +172,9 @@ def shown(value: int | str) -> str:
     return repr(value) if len(text) <= MAX_SHOWN else f"a {len(text)}-character string"
 
 
-_TERM_RE = re.compile(
+# one term of the grammar; a plain pattern, compiled (and cached by re) on the
+# first parse rather than at import
+_TERM = (
     r"^(?:(?P<mult>-?\d+)\s*\*\s*|(?P<neg>-)(?=[a-z]))?"
     r"(?P<sym>lambda(?P<lami>\d+)|delta\+|delta-|delta|triv:(?P<trivk>\d+)|(?P<const>-?\d+))$"
 )
@@ -200,7 +202,7 @@ def parse_expr(text: str) -> RepExpr:
         if i % 2 == 1:
             sign = 1 if chunk == "+" else -1
             continue
-        m = _TERM_RE.match(chunk.strip())
+        m = re.match(_TERM, chunk.strip())
         if not m:
             raise ValueError(f"cannot parse term {shown(chunk)}")
         mult = sign * (int(m.group("mult")) if m.group("mult") else -1 if m.group("neg") else 1)

@@ -245,9 +245,7 @@ def j_ideal_generators(n: int, max_degree: int | None = None) -> tuple[GradedPol
     r <= (max_degree - 1).bit_length(); no square is taken past the last
     generator returned.
     """
-    if n < 6:
-        raise ValueError(f"j_ideal_generators requires n >= 6, got {n}")
-    h = quillen_h(n).h
+    h = quillen_h(n).h  # SpinGroup(n) refuses n < 6
     count = h if max_degree is None else min(h, max(max_degree - 1, 0).bit_length())
     gens = [GradedPolyF2.generator(2, n)] if count else []
     for r in range(1, count):

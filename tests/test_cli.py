@@ -74,8 +74,12 @@ def test_prop2_below_regime_is_usage_error():
 def test_prop2_bad_range_syntax(capsys):
     assert main(["prop2", "--m", "4..x"]) == 2
     assert main(["prop2", "--m", "6..4"]) == 2
+    assert main(["prop2", "--m", "4..3"]) == 2
     assert main(["prop2", "--m", "3..4..5"]) == 2
-    assert "cannot parse m range '3..4..5'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # refused as empty, not by the runner's 3..16 check, which also exits 2
+    assert "empty m range '4..3'" in err
+    assert "cannot parse m range '3..4..5'" in err
 
 
 def test_a_mismatch_exits_1_and_still_prints_the_report(monkeypatch):
@@ -317,6 +321,8 @@ def test_over_budget_input_is_refused_before_work(argv):
     [
         # width: 13,975-bit coefficients, and 14,048 at cutoff 189
         (("restrict", "--n", "30", "--cutoff", "188", f"{10**20}*delta+"), "-bit integers"),
+        # width: exactly the 14,000-bit budget, and 14,098 at cutoff 142
+        (("restrict", "--n", "12", "--cutoff", "141", f"{10**30}*lambda2"), "-bit integers"),
         # work: 0.9997 of the budget, and over it at cutoff 3663
         (("restrict", "--n", "9", "--cutoff", "3662", "8 - delta"), "coefficient products"),
     ],
@@ -740,12 +746,15 @@ def test_spawned_process_exit_codes():
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # they cost a fifth of the CLI's start-up; -S keeps site's own imports out
+    # they cost a fifth of the CLI's start-up, and json loads only for a json
+    # report; -S keeps site's own imports out.  The benchmark's tracer wraps
+    # the modules loaded at import, so steenrod and exceptional stay among them.
     code = ("import sys, spinchern.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'json'} & set(sys.modules)), "
+            "{'spinchern.steenrod', 'spinchern.exceptional'} <= set(sys.modules))")
     proc = spawn("-S", "-c", code, capture_output=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] True\n"
 
 
 def test_python_dash_m_spinchern_runs_the_cli():

@@ -353,6 +353,11 @@ def test_shown_counts_the_sign_of_a_negative_number():
     assert shown(-(10**39)) == "a 40-digit number"
 
 
+def test_shown_repeats_a_string_of_exactly_the_limit():
+    assert shown("x" * 40) == repr("x" * 40)
+    assert shown("x" * 41) == "a 41-character string"
+
+
 def test_parse_expr_grammar():
     expr = parse_expr("8 + lambda2 + delta+")
     assert expr == RepExpr.from_dict({triv(1): 8, lam(2): 1, DELTA_PLUS: 1})
