@@ -321,10 +321,10 @@ def test_over_budget_input_is_refused_before_work(argv):
     [
         # width: 13,975-bit coefficients, and 14,048 at cutoff 189
         (("restrict", "--n", "30", "--cutoff", "188", f"{10**20}*delta+"), "-bit integers"),
-        # width: exactly the 14,000-bit budget, and 14,098 at cutoff 142
-        (("restrict", "--n", "12", "--cutoff", "141", f"{10**30}*lambda2"), "-bit integers"),
         # work: 0.9997 of the budget, and over it at cutoff 3663
         (("restrict", "--n", "9", "--cutoff", "3662", "8 - delta"), "coefficient products"),
+        # width: exactly the 14,000-bit budget, and 14,098 at cutoff 142
+        (("restrict", "--n", "12", "--cutoff", "141", f"{10**30}*lambda2"), "-bit integers"),
     ],
 )
 def test_each_budget_admits_an_input_just_inside_it(admitted, text):
